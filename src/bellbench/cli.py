@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -70,18 +71,23 @@ def parse_angle(token: str) -> float:
         t = t[1:]
     try:
         if t == "pi":
-            return sign * np.pi
-        if t.startswith("pi/"):
-            return sign * np.pi / float(t[3:])
-        if t.endswith("pi"):
+            value = np.pi
+        elif t.startswith("pi/"):
+            value = np.pi / float(t[3:])
+        elif t.endswith("pi"):
             body = t[:-2]
             if "/" in body:
                 num, den = body.split("/", 1)
-                return sign * float(num) / float(den) * np.pi
-            return sign * float(body) * np.pi
-        return sign * float(t)
+                value = float(num) / float(den) * np.pi
+            else:
+                value = float(body) * np.pi
+        else:
+            value = float(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed angle {token!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"angle {token!r} is not finite")
+    return sign * value
 
 
 def parse_phases(text: str, scenario: Scenario) -> PhaseConfiguration:

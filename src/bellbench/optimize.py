@@ -7,6 +7,7 @@ start-stream is a prefix of any longer run with the same seed.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
@@ -44,8 +45,11 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise DomainError("need at least one start")
-        if self.tol <= 0 or self.initial_step <= 0 or self.max_iterations < 1:
-            raise DomainError("tolerance, step, and iteration cap must be positive")
+        finite_positive = 0 < self.tol < math.inf and 0 < self.initial_step < math.inf
+        if not finite_positive or self.max_iterations < 1:
+            raise DomainError(
+                "tolerance, step, and iteration cap must be positive and finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -76,13 +80,18 @@ STATE_FAMILIES: dict[str, StateFamily] = {
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best point found by a multistart search plus per-start summaries."""
+    """Best point found by a multistart search plus per-start summaries.
+
+    converged is the best start's flag; converged_starts counts the starts
+    whose local search converged.
+    """
 
     best_value: float
     best_phases: PhaseConfiguration
     best_state: Optional[StateVector]
     start_values: tuple[tuple[int, float], ...]
     converged: bool
+    converged_starts: int
     evaluations: int = 0
     family_angles: Optional[dict[str, float]] = None
     trajectories: Optional[tuple[tuple[float, ...], ...]] = None
@@ -91,6 +100,7 @@ class OptimizationResult:
         out = {
             "best_value": self.best_value,
             "converged": self.converged,
+            "converged_starts": self.converged_starts,
             "evaluations": self.evaluations,
             "best_phases": self.best_phases.to_json_dict(),
             "best_state": self.best_state.to_json_dict() if self.best_state else None,
@@ -98,6 +108,8 @@ class OptimizationResult:
         }
         if self.family_angles is not None:
             out["family_angles"] = dict(self.family_angles)
+        if self.trajectories is not None:
+            out["trajectories"] = [list(t) for t in self.trajectories]
         return out
 
 
@@ -215,6 +227,7 @@ def optimize_phases(
         best_state=None,
         start_values=tuple((k, r[1]) for k, r in enumerate(per_start)),
         converged=ok,
+        converged_starts=sum(r[2] for r in per_start),
         evaluations=sum(r[3] for r in per_start),
     )
 
@@ -271,6 +284,7 @@ def seesaw(
         best_state=state,
         start_values=tuple((k, r[1]) for k, r in enumerate(per_start)),
         converged=ok,
+        converged_starts=sum(r[2] for r in per_start),
         evaluations=sum(r[3] for r in per_start),
         trajectories=tuple(r[5] for r in per_start),
     )
@@ -343,6 +357,7 @@ def optimize_state_family(
         best_state=fam.build(angles),
         start_values=tuple((k, r[1]) for k, r in enumerate(per_start)),
         converged=ok,
+        converged_starts=sum(r[2] for r in per_start),
         evaluations=sum(r[3] for r in per_start),
         family_angles={name: float(a) for name, a in zip(fam.param_names, angles)},
     )

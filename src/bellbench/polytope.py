@@ -3,7 +3,8 @@
 Strategies are enumerated in mixed-radix index order (party 1 / setting 1
 least significant) so the work can be partitioned into contiguous index
 ranges whose partial results merge deterministically.  All classical values
-are exact rationals; the facet rank is computed over the integers.
+are exact rationals.  The facet rank is certified exactly by a rank modulo a
+prime, with an exact integer rank as the fallback for deficient ranks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, NumericError, ResourceError
 from .scenario import (
     BellExpression,
     ProbabilityTable,
@@ -27,6 +28,11 @@ from .scenario import (
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 16
+_GRAM_ROWS = 512
+# Primes below 2**21: with panels of at most 64 columns, every sum of products
+# of residues stays below 2**48, which _reduce_mod reduces exactly.
+_PRIMES = (2097143, 2097133)
+_PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -354,6 +360,147 @@ def polytope_dimension(scenario: Scenario) -> int:
     return (2 * scenario.outcomes - 1) ** scenario.parties - 1
 
 
+def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, exactly, for integer-valued float64 |x| < 2**48.
+
+    The quotient estimate x * (1/p) is off by less than 2**-25, while a
+    non-integer x/p lies at least 1/p > 2**-21 from every integer, so the
+    floor is exact except at multiples of p, which may come out as p.
+    Callers pass a temporary; working in place keeps the peak memory of a
+    trailing update at two copies of the trailing block.
+    """
+    q = np.multiply(x, 1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    x[x == p] = 0.0
+    return x
+
+
+def modular_rank(matrix: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, for a prime p < 2**21.
+
+    Right-looking blocked LU on residues held in float64.  Each panel of at
+    most _PANEL columns is eliminated with row pivoting; multipliers are
+    stored in place of the eliminated entries, so whole-row swaps carry them.
+    The trailing update is one matmul reduced mod p.  Every stored value,
+    product and sum is an integer below 2**48, reduced exactly by
+    _reduce_mod, so the result involves no float tolerance.
+    """
+    a = np.mod(matrix, p).astype(np.float64, copy=False)
+    n, m = a.shape
+    rank = 0
+    for j0 in range(0, m, _PANEL):
+        j1 = min(j0 + _PANEL, m)
+        top = rank
+        cols = []
+        for c in range(j0, j1):
+            if rank == n:
+                break
+            nz = np.flatnonzero(a[rank:, c])
+            if nz.size == 0:
+                continue
+            piv = rank + int(nz[0])
+            if piv != rank:
+                a[[rank, piv]] = a[[piv, rank]]
+            inv = pow(int(a[rank, c]), -1, p)
+            mult = _reduce_mod(a[rank + 1 :, c] * inv, p)
+            a[rank + 1 :, c] = mult
+            a[rank + 1 :, c + 1 : j1] = _reduce_mod(
+                a[rank + 1 :, c + 1 : j1] - mult[:, None] * a[rank, c + 1 : j1], p
+            )
+            cols.append(c)
+            rank += 1
+        if rank == top or rank == n or j1 == m:
+            continue
+        # U12 = L11^-1 A12 by forward substitution, then A22 -= L21 U12.
+        upper = a[top:rank, j1:]
+        for t in range(1, rank - top):
+            upper[t] = _reduce_mod(upper[t] - a[top + t, cols[:t]] @ upper[:t], p)
+        trailing = a[rank:, cols] @ upper
+        np.subtract(a[rank:, j1:], trailing, out=trailing)
+        a[rank:, j1:] = _reduce_mod(trailing, p)
+    return rank
+
+
+def _saturating_blocks(
+    expression: BellExpression, target_num: int, total: int
+) -> Iterator[np.ndarray]:
+    """Indices of the strategies scoring target_num / (d-1), in index order.
+
+    Yielded in blocks of at most _GRAM_ROWS, so a caller building their CG
+    rows never holds more than one block of them.
+    """
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        hits = np.nonzero(_value_numerators(expression, lo, hi) == target_num)[0] + lo
+        for k in range(0, hits.size, _GRAM_ROWS):
+            yield hits[k : k + _GRAM_ROWS]
+
+
+def _saturating_gram(
+    expression: BellExpression, target_num: int, total: int
+) -> np.ndarray:
+    """G = M^T M for the CG rows M of the saturating strategies.
+
+    Entries are integers at most the saturating count, exact in float64.
+    """
+    sc = expression.scenario
+    size = polytope_dimension(sc) + 1
+    gram = np.zeros((size, size))
+    for block in _saturating_blocks(expression, target_num, total):
+        rows = _cg_matrix(sc, block).astype(np.float64)
+        gram += rows.T @ rows
+    return gram
+
+
+def _streamed_affine_rank(
+    expression: BellExpression, target_num: int, total: int
+) -> int:
+    """Exact affine rank of the saturating vertices, capped at D - 1.
+
+    Difference rows are streamed in index order through the integer rank
+    accumulator, stopping early once the rank reaches D - 1.
+    """
+    sc = expression.scenario
+    dim = polytope_dimension(sc)
+    acc = IntegerRankAccumulator(dim + 1)
+    base_row: Optional[np.ndarray] = None
+    for block in _saturating_blocks(expression, target_num, total):
+        mat = _cg_matrix(sc, block)
+        row0 = 0
+        if base_row is None:
+            base_row = mat[0]
+            row0 = 1
+        for k in range(row0, mat.shape[0]):
+            acc.add(mat[k] - base_row)
+            if acc.rank >= dim - 1:
+                return acc.rank
+    return acc.rank
+
+
+def _affine_rank(expression: BellExpression, target_num: int, total: int) -> int:
+    """Affine rank of the saturating vertices, capped at D - 1.
+
+    The CG rows M have a constant first coordinate, so the affine rank is
+    rank(M) - 1.  For a prime p, rank_p(M^T M) <= rank(M^T M) = rank(M).
+    Every expression takes more than one value on the vertices, so
+    value - bound is a nonzero functional vanishing on every row of M and
+    rank(M) <= D.  A modular rank of D therefore certifies affine rank D - 1
+    exactly.  A deficient modular rank under both primes falls back to the
+    exact integer stream.
+    """
+    dim = polytope_dimension(expression.scenario)
+    gram = _saturating_gram(expression, target_num, total)
+    for p in _PRIMES:
+        rank = modular_rank(gram, p)
+        if rank > dim:
+            raise NumericError(f"modular rank {rank} exceeds the bound {dim} on a face")
+        if rank == dim:
+            return dim - 1
+    return _streamed_affine_rank(expression, target_num, total)
+
+
 def facet_check(
     expression: BellExpression,
     budget: int = DEFAULT_BUDGET,
@@ -361,10 +508,11 @@ def facet_check(
 ) -> FacetReport:
     """Certify tightness: exact classical max plus exact affine rank.
 
-    The saturating vertices (Bell value equal to the bound) are streamed in
-    index order through the integer rank accumulator, stopping early once
-    the rank reaches D - 1.  A bound that is never attained yields rank 0
-    and is_facet False rather than an error.
+    The affine rank of the saturating vertices (Bell value equal to the
+    bound) comes from a modular rank of their Gram matrix, with an exact
+    integer fallback when that rank is deficient (see _affine_rank).  A
+    bound that is never attained yields rank 0 and is_facet False rather
+    than an error.
     """
     sc = expression.scenario
     total = _check_budget(sc, budget)
@@ -379,27 +527,7 @@ def facet_check(
 
     rank = 0
     if saturating > 0:
-        target_num = int(target)
-        acc = IntegerRankAccumulator((2 * sc.outcomes - 1) ** sc.parties)
-        base_row: Optional[np.ndarray] = None
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            nums = _value_numerators(expression, lo, hi)
-            hits = np.nonzero(nums == target_num)[0]
-            if hits.size == 0:
-                continue
-            mat = _cg_matrix(sc, hits + lo)
-            row0 = 0
-            if base_row is None:
-                base_row = mat[0]
-                row0 = 1
-            for k in range(row0, mat.shape[0]):
-                acc.add(mat[k] - base_row)
-                if acc.rank >= dim - 1:
-                    break
-            if acc.rank >= dim - 1:
-                break
-        rank = acc.rank
+        rank = _affine_rank(expression, int(target), total)
 
     return FacetReport(
         expression=expression,

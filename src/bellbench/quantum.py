@@ -9,6 +9,7 @@ basis state.  Everything runs in complex double precision on dense arrays.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -53,6 +54,8 @@ class StateVector:
             raise DomainError(
                 f"state needs {scenario.dimension} amplitudes, got {amps.size}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise DomainError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-4:
             raise DomainError(f"state norm {norm} deviates from 1 by more than 1e-4")
@@ -322,8 +325,8 @@ def noise_threshold(violation: float) -> float:
     uniform table contributes 0, so the crossing is at 1 - 2/violation,
     clamped at 0 for non-violations.
     """
-    if violation <= 0:
-        raise DomainError(f"violation must be positive, got {violation}")
+    if not 0 < violation < math.inf:
+        raise DomainError(f"violation must be positive and finite, got {violation}")
     return max(0.0, 1.0 - 2.0 / violation)
 
 

@@ -211,15 +211,6 @@ def weight_numerators(
     return num
 
 
-@lru_cache(maxsize=None)
-def _weight_floats(
-    parties: int, outcomes: int, family: str, settings: SettingsTuple
-) -> np.ndarray:
-    w = weight_numerators(parties, outcomes, family, settings) / (outcomes - 1)
-    w.setflags(write=False)
-    return w
-
-
 class ProbabilityTable:
     """Joint outcome probabilities for every one of the 2**N joint settings.
 

@@ -59,6 +59,11 @@ class TestParseAngle:
         with pytest.raises(DomainError):
             parse_angle(token)
 
+    @pytest.mark.parametrize("token", ["nan", "-nan", "inf", "-inf", "nanpi", "pi/nan", "1e308pi"])
+    def test_non_finite_rejected(self, token):
+        with pytest.raises(DomainError, match="not finite"):
+            parse_angle(token)
+
 
 class TestParseState:
     def test_family_with_angles(self):
@@ -221,6 +226,18 @@ class TestMainEntry:
         first = out.read_bytes()
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == first
+        result = json.loads(first)["result"]
+        assert 0 <= result["converged_starts"] <= 2
+        assert len(result["trajectories"]) == 2
+        assert all(len(t) >= 2 for t in result["trajectories"])
+
+    def test_non_finite_sweep_point_writes_no_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--n", "3", "--d", "2", "--state", "ghz_qubit",
+                "--grid", "nan,1/4pi", "--starts", "2", "--out", str(out)]
+        assert main(argv) == EXIT_DOMAIN
+        assert not out.exists()
+        assert "not finite" in capsys.readouterr().err
 
     def test_threads_do_not_change_report(self, tmp_path):
         # the report embeds the resolved spec, so compare result sections only

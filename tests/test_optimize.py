@@ -101,7 +101,25 @@ class TestOptimizePhases:
             optimize_phases(ghz_qubit(0.5), bell_expression(3, 3))
 
 
+    def test_converged_starts_counts_every_start(self):
+        # the best start stops at the iteration cap while four others converge
+        config = OptimizerConfig(starts=8, seed=1, max_iterations=320)
+        result = optimize_phases(ghz_qubit(0.6), bell_expression(3, 2), config)
+        assert not result.converged
+        assert result.converged_starts == 4
+        data = result.to_json_dict()
+        assert data["converged_starts"] == 4
+        assert "trajectories" not in data
+
+
 class TestSeesaw:
+    def test_trajectories_in_json(self):
+        result = seesaw(bell_expression(3, 2), OptimizerConfig(starts=2, seed=1))
+        data = result.to_json_dict()
+        assert data["trajectories"] == [list(t) for t in result.trajectories]
+        assert data["converged_starts"] == result.converged_starts
+        assert result.converged_starts >= result.converged
+
     def test_three_qubits(self):
         result = seesaw(bell_expression(3, 2), OptimizerConfig(starts=4, seed=1))
         assert abs(result.best_value - ROOT8) < 1e-4
@@ -222,6 +240,14 @@ class TestSweep:
 
 
 class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("tol", np.nan), ("tol", np.inf), ("initial_step", np.nan), ("initial_step", np.inf)],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            OptimizerConfig(**{field: value})
+
     def test_validation(self):
         with pytest.raises(DomainError):
             OptimizerConfig(starts=0)

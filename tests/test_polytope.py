@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bellbench.polytope as polytope
 from bellbench import (
     BIPARTITE_LEGACY,
     DomainError,
+    NumericError,
     ResourceError,
     Scenario,
     bell_expression,
@@ -17,14 +20,18 @@ from bellbench import (
 from bellbench.polytope import (
     DeterministicStrategy,
     IntegerRankAccumulator,
+    _reduce_mod,
     cg_vector,
     classical_maximum,
     enumerate_strategies,
     facet_check,
+    modular_rank,
     polytope_dimension,
     strategy_count,
     strategy_table,
 )
+
+PRIMES = polytope._PRIMES
 
 
 def brute_force_values(expression):
@@ -214,6 +221,93 @@ class TestIntegerRank:
         assert acc.rank == np.linalg.matrix_rank(mat.astype(float) / 1e9, tol=1e-8)
 
 
+def rank_mod_p_oracle(matrix, p):
+    """Gaussian elimination over GF(p) in Python integers."""
+    rows = [[int(v) % p for v in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def bareiss_rank_and_minor(matrix):
+    """Rank over Q and +-det of a nonsingular rank x rank minor (fraction-free)."""
+    a = [[int(v) for v in row] for row in matrix]
+    rank, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, len(a)):
+            for j in range(c + 1, len(a[0])):
+                a[i][j] = (a[i][j] * a[rank][c] - a[i][c] * a[rank][j]) // prev
+            a[i][c] = 0
+        prev = a[rank][c]
+        rank += 1
+    return rank, prev
+
+
+@st.composite
+def integer_matrices(draw):
+    """Seeded 0/1 or +-1 matrices, some with duplicated or summed rows."""
+    base = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 40))
+    values = draw(st.sampled_from([(0, 1), (-1, 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.choice(values, size=(base, cols))
+    derived = []
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = rng.integers(0, base, size=2)
+        derived.append(mat[i] if draw(st.booleans()) else mat[i] + mat[j])
+    if derived:
+        mat = np.vstack([mat, derived])
+    return mat[rng.permutation(mat.shape[0])]
+
+
+class TestModularRank:
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(mat=integer_matrices(), p=st.sampled_from(PRIMES + (3, 5)))
+    def test_gram_rank_bounded_by_integer_rank(self, mat, p):
+        acc = IntegerRankAccumulator(mat.shape[1])
+        for row in mat:
+            acc.add(row)
+        gram = mat.T @ mat
+        rank_p = modular_rank(gram, p)
+        assert rank_p == rank_mod_p_oracle(gram, p)
+        assert modular_rank(mat, p) == rank_mod_p_oracle(mat, p)
+        assert rank_p <= acc.rank
+        rank_q, minor = bareiss_rank_and_minor(gram)
+        assert rank_q == acc.rank
+        if minor % p:
+            assert rank_p == acc.rank
+
+    def test_several_panels_match_oracle(self):
+        rng = np.random.default_rng(3)
+        base = rng.integers(0, 2, size=(60, 90))
+        mat = np.vstack([base, base[:20] + base[20:40]])
+        for p in PRIMES:
+            assert modular_rank(mat, p) == rank_mod_p_oracle(mat, p) == 60
+
+    def test_reduce_mod_is_exact_below_2_pow_48(self):
+        p = PRIMES[0]
+        near = [k * p + e for k in (0, 1, 2, 2**27 - 1, 2**48 // p) for e in (-1, 0, 1)]
+        rng = np.random.default_rng(5)
+        values = near + [-v for v in near] + rng.integers(-(2**48) + 1, 2**48, 5000).tolist()
+        values = [v for v in values if abs(v) < 2**48]
+        reduced = _reduce_mod(np.array(values, dtype=np.float64), p)
+        assert reduced.tolist() == [float(v % p) for v in values]
+
+
 def saturating_cg_matrix(expression):
     rows = []
     for s in enumerate_strategies(expression.scenario):
@@ -250,6 +344,46 @@ class TestFacetCheck:
         diffs = (mat[1:] - mat[0]).astype(float)
         float_rank = np.linalg.matrix_rank(diffs, tol=1e-8)
         assert facet_check(e).affine_rank == float_rank
+
+    @pytest.mark.parametrize(
+        "n,d,count",
+        [(3, 2, 32), (3, 3, 270), (3, 4, 1280), (3, 5, 4375), (4, 2, 128), (4, 3, 2430), (5, 2, 512)],
+    )
+    def test_paper_cases_certify_without_fallback(self, n, d, count, monkeypatch):
+        class NoFallback:
+            def __init__(self, length):
+                raise AssertionError("integer fallback reached")
+
+        monkeypatch.setattr(polytope, "IntegerRankAccumulator", NoFallback)
+        report = facet_check(bell_expression(n, d))
+        assert report.affine_rank == report.dimension - 1 == (2 * d - 1) ** n - 2
+        assert report.is_facet
+        assert report.saturating_count == count
+
+    @pytest.mark.parametrize("n,d,bound", [(2, 3, -4), (3, 3, -4), (2, 4, Fraction(-10, 3))])
+    def test_deficient_rank_reaches_exact_fallback(self, n, d, bound, monkeypatch):
+        lengths = []
+
+        class Spy(IntegerRankAccumulator):
+            def __init__(self, length):
+                lengths.append(length)
+                super().__init__(length)
+
+        monkeypatch.setattr(polytope, "IntegerRankAccumulator", Spy)
+        e = bell_expression(n, d).with_bound(bound)
+        report = facet_check(e)
+        assert lengths == [report.dimension + 1]
+        mat = saturating_cg_matrix(e)
+        diffs = (mat[1:] - mat[0]).astype(float)
+        assert report.affine_rank == np.linalg.matrix_rank(diffs, tol=1e-8)
+        assert report.affine_rank < report.dimension - 1
+        assert not report.is_facet
+
+    def test_modular_rank_above_dimension_raises(self, monkeypatch):
+        # value - bound vanishes on every saturating CG row, so rank <= D
+        monkeypatch.setattr(polytope, "modular_rank", lambda gram, p: gram.shape[0])
+        with pytest.raises(NumericError):
+            facet_check(bell_expression(3, 2))
 
     def test_partitioning_invariance(self):
         e = bell_expression(3, 3)

@@ -100,6 +100,12 @@ class TestStateVector:
         with pytest.raises(DomainError):
             StateVector(Scenario(3, 2), np.ones(4) / 2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 0)])
+    def test_non_finite_rejected(self, bad):
+        # a NaN norm passes the 1e-4 test, since every comparison with NaN is False
+        with pytest.raises(DomainError, match="finite"):
+            StateVector(Scenario(2, 2), [bad, 0, 0, 0])
+
     def test_json_round_trip(self):
         state = ghz_qutrit(0.9066, 0.6663)
         again = StateVector.from_json_dict(state.to_json_dict())
@@ -309,6 +315,11 @@ class TestNoise:
     def test_threshold_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             noise_threshold(0.0)
+
+    @pytest.mark.parametrize("violation", [np.nan, np.inf, -np.inf])
+    def test_threshold_rejects_non_finite(self, violation):
+        with pytest.raises(DomainError):
+            noise_threshold(violation)
 
     def test_mixed_table_crossing(self):
         # the noisy Bell value crosses the classical bound at the threshold

@@ -168,6 +168,34 @@ def _nelder_mead_max(
     return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), int(res.nfev)
 
 
+def _gradient_max(
+    objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    config: OptimizerConfig,
+) -> tuple[np.ndarray, float, bool, int]:
+    """L-BFGS-B on an analytic gradient, maximizing; returns what
+    _nelder_mead_max returns.  Each value-and-gradient call counts as one
+    evaluation."""
+
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, gradient = objective_and_gradient(x)
+        return -value, -gradient
+
+    res = minimize(
+        negated,
+        np.asarray(x0, dtype=float),
+        jac=True,
+        method="L-BFGS-B",
+        options={
+            "ftol": config.tol,
+            "gtol": config.tol,
+            "maxiter": config.max_iterations,
+            "maxfun": config.max_iterations,
+        },
+    )
+    return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), int(res.nfev)
+
+
 def _start_point(
     k: int, size: int, config: OptimizerConfig, deterministic_first: np.ndarray
 ) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -28,14 +29,20 @@ OPERATOR_DIMENSION_CAP = 10**4
 STATE_DIMENSION_CAP = 10**6
 
 
+@lru_cache(maxsize=None)
+def _fourier(d: int) -> np.ndarray:
+    k = np.arange(d)
+    fourier = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+    fourier.setflags(write=False)
+    return fourier
+
+
 def beamsplitter_unitary(phases: Sequence[float], d: int) -> np.ndarray:
     """d x d splitter matrix for one phase vector; unitary by construction."""
     phi = np.asarray(phases, dtype=float)
     if phi.shape != (d,):
         raise DomainError(f"phase vector must have length {d}, got shape {phi.shape}")
-    k = np.arange(d)
-    fourier = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
-    return fourier * np.exp(1j * phi)[None, :]
+    return _fourier(d) * np.exp(1j * phi)[None, :]
 
 
 class StateVector:
@@ -146,11 +153,15 @@ class PhaseConfiguration:
 def _apply_party_unitaries(
     tensor: np.ndarray, unitaries: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Apply one unitary per party axis, preserving axis order."""
+    """Apply one unitary per party axis, preserving axis order.
+
+    Each step multiplies the leading axis and rotates it to the back, so
+    after one step per party the axes are in their original order again.
+    """
     out = tensor
-    for j, u in enumerate(unitaries):
-        out = np.moveaxis(np.tensordot(u, out, axes=(1, j)), 0, j)
-    return out
+    for u in unitaries:
+        out = (u @ out.reshape(u.shape[1], -1)).T
+    return out.reshape(tensor.shape)
 
 
 def _term_block(

@@ -14,7 +14,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .optimize import OptimizerConfig, _map_starts, _nelder_mead_max, _pick_best, _start_point
+from .optimize import (
+    OptimizerConfig,
+    _gradient_max,
+    _map_starts,
+    _nelder_mead_max,
+    _pick_best,
+    _start_point,
+)
 from .quantum import StateVector
 from .scenario import MULTIPARTITE, BellExpression, Scenario, bell_expression
 
@@ -131,22 +138,49 @@ def _tensor_functional(
     return total
 
 
-def _product_objective(state: StateVector, terms):
+def _tensor_functional_and_gradient(
+    t: np.ndarray, angles: np.ndarray, terms: tuple[tuple[tuple[int, int, int], int], ...]
+) -> tuple[float, np.ndarray]:
+    """_tensor_functional at _bloch_rows(angles) and its gradient in the 12
+    angles.  Each term is trilinear, so its derivative along one party's
+    vector is T contracted with the other two vectors."""
+    vecs = _bloch_rows(angles)
+    total = 0.0
+    d_vecs = np.zeros((6, 3))
+    for (i, j, k), sign in terms:
+        a, b, c = vecs[i - 1], vecs[2 + j - 1], vecs[4 + k - 1]
+        tc = t @ c
+        atc = a @ tc
+        total += sign * float(atc @ b)
+        d_vecs[i - 1] += sign * (tc @ b)
+        d_vecs[2 + j - 1] += sign * atc
+        d_vecs[4 + k - 1] += sign * (b @ (a @ t.reshape(3, 9)).reshape(3, 3))
+    sin_p, cos_p = np.sin(angles[0::2]), np.cos(angles[0::2])
+    sin_a, cos_a = np.sin(angles[1::2]), np.cos(angles[1::2])
+    d_polar = np.stack([cos_p * cos_a, cos_p * sin_a, -sin_p], axis=1)
+    d_azimuth = np.stack([-sin_p * sin_a, sin_p * cos_a, np.zeros_like(sin_p)], axis=1)
+    gradient = np.empty(12)
+    gradient[0::2] = np.sum(d_vecs * d_polar, axis=1)
+    gradient[1::2] = np.sum(d_vecs * d_azimuth, axis=1)
+    return total, gradient
+
+
+def _product_search(state: StateVector, terms, config: OptimizerConfig):
+    """Gradient local search over the 12 Bloch angles of a product functional."""
     t = _correlation_tensor(state)
 
-    def objective(angles: np.ndarray) -> float:
-        return _tensor_functional(t, _bloch_rows(angles), terms)
+    def objective_and_gradient(angles: np.ndarray) -> tuple[float, np.ndarray]:
+        return _tensor_functional_and_gradient(t, angles, terms)
 
-    return objective
+    return lambda x0: _gradient_max(objective_and_gradient, x0, config)
 
 
-def _multistart_max(objective, n_params: int, config: OptimizerConfig, threads: int) -> float:
+def _multistart_max(local_max, n_params: int, config: OptimizerConfig, threads: int) -> float:
+    """Best of config.starts runs of local_max(x0) -> (x, value, ok, nfev)."""
     zeros = np.zeros(n_params)
 
     def one_start(k: int):
-        x0 = _start_point(k, n_params, config, zeros)
-        x, val, ok, nfev = _nelder_mead_max(objective, x0, config)
-        return x, val, ok, nfev
+        return local_max(_start_point(k, n_params, config, zeros))
 
     per_start = _map_starts(threads, one_start, config.starts)
     return float(per_start[_pick_best(per_start)][1])
@@ -160,7 +194,7 @@ def mermin3_max(
     """Multistart maximization of the Mermin value over the 12 Bloch angles."""
     _check_three_qubits(state)
     config = config or OptimizerConfig()
-    return _multistart_max(_product_objective(state, _MERMIN_TERMS), 12, config, threads)
+    return _multistart_max(_product_search(state, _MERMIN_TERMS, config), 12, config, threads)
 
 
 def _check_qubit_product_form(expression: BellExpression) -> None:
@@ -191,7 +225,7 @@ def qubit_general_max(
     _check_qubit_product_form(expression)
     config = config or OptimizerConfig()
     terms = tuple((settings, sign) for settings, sign in expression.terms)
-    return _multistart_max(_product_objective(state, terms), 12, config, threads)
+    return _multistart_max(_product_search(state, terms, config), 12, config, threads)
 
 
 def qubit_general_family_max(
@@ -215,7 +249,9 @@ def qubit_general_family_max(
         t = _correlation_tensor(fam.build(x[:n_angles]))
         return _tensor_functional(t, _bloch_rows(x[n_angles:]), terms)
 
-    return _multistart_max(objective, n_angles + 12, config, threads)
+    return _multistart_max(
+        lambda x0: _nelder_mead_max(objective, x0, config), n_angles + 12, config, threads
+    )
 
 
 def reduce_to_bipartite(expression: BellExpression) -> BellExpression:

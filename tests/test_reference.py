@@ -139,6 +139,34 @@ class TestQubitGeneralMax:
             table = projector_table(state, BlochSettings.from_angles(angles))
             assert abs(fast - bell_value(e, table)) < 1e-12
 
+    @pytest.mark.parametrize("which", ["mermin", "multipartite"])
+    def test_gradient_matches_central_differences(self, which):
+        from bellbench.reference import (
+            _MERMIN_TERMS,
+            _bloch_rows,
+            _correlation_tensor,
+            _tensor_functional,
+            _tensor_functional_and_gradient,
+        )
+
+        if which == "mermin":
+            terms = _MERMIN_TERMS
+        else:
+            terms = tuple((s, sign) for s, sign in bell_expression(3, 2).terms)
+        rng = np.random.default_rng(8)
+        tensor = _correlation_tensor(relevance_state())
+        h = 1e-6
+        for _ in range(5):
+            angles = rng.uniform(-PI, PI, 12)
+            value, gradient = _tensor_functional_and_gradient(tensor, angles, terms)
+            assert value == _tensor_functional(tensor, _bloch_rows(angles), terms)
+            for m in range(12):
+                step = np.zeros(12)
+                step[m] = h
+                up = _tensor_functional(tensor, _bloch_rows(angles + step), terms)
+                down = _tensor_functional(tensor, _bloch_rows(angles - step), terms)
+                assert abs(gradient[m] - (up - down) / (2 * h)) < 1e-8
+
     def test_ghz_value(self):
         value = qubit_general_max(
             ghz_qubit(PI / 4), bell_expression(3, 2), OptimizerConfig(starts=16, seed=5)

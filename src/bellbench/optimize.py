@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -20,6 +20,7 @@ from .scenario import BellExpression, Scenario
 from .quantum import (
     PhaseConfiguration,
     StateVector,
+    _expression_value_and_gradient,
     _expression_value_fast,
     beamsplitter_unitary,
     bell_operator,
@@ -29,7 +30,15 @@ from .quantum import (
     w_state,
 )
 
+T = TypeVar("T")
+
 MAX_SEESAW_SWEEPS = 100
+
+# The phase search's second-order escape: the Hessian is taken by central
+# differences of the analytic gradient with this step, and a top eigenvalue
+# above the threshold marks the stopping point as a saddle to step off.
+CURVATURE_STEP = 1e-4
+CURVATURE_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -196,6 +205,76 @@ def _gradient_max(
     return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), int(res.nfev)
 
 
+def _top_curvature(
+    objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Largest Hessian eigenvalue at x and its eigenvector, from central
+    differences of the gradient (2 * x.size calls)."""
+    hessian = np.empty((x.size, x.size))
+    for i in range(x.size):
+        step = np.zeros(x.size)
+        step[i] = CURVATURE_STEP
+        up = objective_and_gradient(x + step)[1]
+        down = objective_and_gradient(x - step)[1]
+        hessian[:, i] = (up - down) / (2 * CURVATURE_STEP)
+    values, vectors = np.linalg.eigh((hessian + hessian.T) / 2)
+    return float(values[-1]), vectors[:, -1]
+
+
+def _escaping_gradient_max(
+    objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    config: OptimizerConfig,
+) -> tuple[np.ndarray, float, bool, int]:
+    """_gradient_max, restarted past saddles; returns what it returns.
+
+    L-BFGS-B stops at any stationary point, and splitter phases have saddles
+    with a vanishing gradient that no single-axis step climbs out of (the
+    zero-phase start on a degenerate eigenvector is one).  So at each stop
+    the top Hessian eigenvalue is read; if it is positive, one initial_step
+    along its eigenvector (the better sign, + on a tie) is tried, and the
+    search restarts there when the value rises by more than tol.  Every
+    value, gradient and curvature call counts against max_iterations.
+    """
+    x = np.asarray(x0, dtype=float)
+    budget = config.max_iterations
+    evaluations = 0
+    while True:
+        remaining = replace(config, max_iterations=budget - evaluations)
+        x, value, ok, nfev = _gradient_max(objective_and_gradient, x, remaining)
+        evaluations += nfev
+        if not ok or evaluations + 2 * x.size + 2 >= budget:
+            return x, value, ok, evaluations
+        curvature, direction = _top_curvature(objective_and_gradient, x)
+        evaluations += 2 * x.size
+        if curvature <= CURVATURE_THRESHOLD:
+            return x, value, ok, evaluations
+        up = x + config.initial_step * direction
+        down = x - config.initial_step * direction
+        up_value = objective_and_gradient(up)[0]
+        down_value = objective_and_gradient(down)[0]
+        evaluations += 2
+        step, step_value = (up, up_value) if up_value >= down_value else (down, down_value)
+        if step_value - value <= config.tol:
+            return x, value, ok, evaluations
+        x = step
+
+
+def _phase_objective(
+    state_tensor: np.ndarray, expression: BellExpression
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """Bell value and gradient in the free phases, the state held fixed."""
+    sc = expression.scenario
+
+    def objective_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        vectors = _phase_vectors(x, sc)
+        value, gradient = _expression_value_and_gradient(state_tensor, vectors, expression)
+        return value, gradient[:, 1:].ravel()
+
+    return objective_and_gradient
+
+
 def _start_point(
     k: int, size: int, config: OptimizerConfig, deterministic_first: np.ndarray
 ) -> np.ndarray:
@@ -206,7 +285,7 @@ def _start_point(
     return rng.uniform(-np.pi, np.pi, size)
 
 
-def _map_starts(threads: int, fn: Callable[[int], tuple], count: int) -> list[tuple]:
+def _map_starts(threads: int, fn: Callable[[int], T], count: int) -> list[T]:
     if threads <= 1 or count <= 1:
         return [fn(k) for k in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -233,18 +312,13 @@ def optimize_phases(
     sc = expression.scenario
     if state.scenario != sc:
         raise DomainError("state scenario does not match the expression")
-    tensor = state.as_tensor()
+    objective_and_gradient = _phase_objective(state.as_tensor(), expression)
     n_params = _phase_param_count(sc)
-
-    def objective(x: np.ndarray) -> float:
-        return _expression_value_fast(tensor, _fast_unitaries(x, sc), expression)
-
     zeros = np.zeros(n_params)
 
     def one_start(k: int):
         x0 = _start_point(k, n_params, config, zeros)
-        x, val, ok, nfev = _nelder_mead_max(objective, x0, config)
-        return x, val, ok, nfev
+        return _escaping_gradient_max(objective_and_gradient, x0, config)
 
     per_start = _map_starts(threads, one_start, config.starts)
     best = _pick_best(per_start)
@@ -275,7 +349,6 @@ def seesaw(
     config = config or OptimizerConfig()
     sc = expression.scenario
     n_params = _phase_param_count(sc)
-    inner = replace(config, starts=1)
     zeros = np.zeros(n_params)
 
     def one_start(k: int):
@@ -289,12 +362,8 @@ def seesaw(
             operator = bell_operator(_config_from_params(x, sc), expression)
             lam, state = max_eigenpair(operator)
             trajectory.append(lam)
-            tensor = state.as_tensor()
-
-            def objective(p: np.ndarray) -> float:
-                return _expression_value_fast(tensor, _fast_unitaries(p, sc), expression)
-
-            x, val, _, nfev = _nelder_mead_max(objective, x, config)
+            objective_and_gradient = _phase_objective(state.as_tensor(), expression)
+            x, val, _, nfev = _escaping_gradient_max(objective_and_gradient, x, config)
             evaluations += nfev
             trajectory.append(val)
             if val - prev <= config.tol:
@@ -428,7 +497,4 @@ def sweep(
         result = optimize_phases(fam.build(points[i]), expression, point_config)
         return SweepRow(points[i], result.best_value, result.converged)
 
-    if threads <= 1 or len(points) <= 1:
-        return [one_point(i) for i in range(len(points))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one_point, range(len(points))))
+    return _map_starts(threads, one_point, len(points))

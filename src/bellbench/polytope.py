@@ -123,12 +123,14 @@ def strategy_table(strategy: DeterministicStrategy) -> ProbabilityTable:
     return ProbabilityTable(sc, blocks, validate=False)
 
 
-def _digit_arrays(idx: np.ndarray, parties: int, d: int) -> list[np.ndarray]:
+def _digit_arrays(
+    idx: np.ndarray, parties: int, d: int, dtype: np.dtype = np.int64
+) -> list[np.ndarray]:
     """Mixed-radix digits of each index; slot 2*j + i is (party j, setting i)."""
     digits = []
     rest = idx.copy()
     for _ in range(2 * parties):
-        digits.append(rest % d)
+        digits.append((rest % d).astype(dtype, copy=False))
         rest //= d
     return digits
 
@@ -138,10 +140,12 @@ def _value_numerators(expression: BellExpression, lo: int, hi: int) -> np.ndarra
     sc = expression.scenario
     d = sc.outcomes
     idx = np.arange(lo, hi, dtype=np.int64)
-    digits = _digit_arrays(idx, sc.parties, d)
+    # Narrow digits and outcome sums keep a chunk's working set a few MiB, so
+    # concurrent scan threads do not each hold tens of MiB of int64 copies.
+    digits = _digit_arrays(idx, sc.parties, d, np.min_scalar_type(d - 1))
     nums = np.zeros(hi - lo, dtype=np.int64)
     for settings, sign in expression.terms:
-        total = np.zeros(hi - lo, dtype=np.int64)
+        total = np.zeros(hi - lo, dtype=np.int32)
         for j, s in enumerate(settings):
             total += digits[2 * j + (s - 1)]
         m = np.mod(modular_sign(settings, expression.family) * total, d)

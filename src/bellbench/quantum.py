@@ -205,6 +205,39 @@ def _expression_value_fast(
     return total / (sc.outcomes - 1)
 
 
+def _expression_value_and_gradient(
+    state_tensor: np.ndarray,
+    vectors: Sequence[np.ndarray],
+    expression: BellExpression,
+) -> tuple[float, np.ndarray]:
+    """Bell value and its gradient in every phase, shape (2N, d).
+
+    The splitter depends on phase l only through its column l, so moving
+    phi_l of party j multiplies the amplitudes with x_j = l by i before the
+    splitters act.  With A = (U1 x ... x UN) psi and Y = (U1+ x ... x UN+)(w A),
+    a term's derivative is -2 Im sum_{x: x_j = l} conj(Y[x]) psi[x].  The value
+    is accumulated exactly as in _expression_value_fast, so the two agree
+    bit for bit.
+    """
+    sc = expression.scenario
+    n, d = sc.parties, sc.outcomes
+    unitaries = [beamsplitter_unitary(v, d) for v in vectors]
+    total = 0.0
+    gradient = np.zeros((2 * n, d))
+    for settings, sign in expression.terms:
+        w = weight_numerators(n, d, expression.family, settings)
+        chosen = [unitaries[2 * j + (s - 1)] for j, s in enumerate(settings)]
+        amp = _apply_party_unitaries(state_tensor, chosen)
+        block = np.abs(amp) ** 2
+        total += sign * float(np.dot(w.ravel(), block.ravel()))
+        back = _apply_party_unitaries(w * amp, [u.conj().T for u in chosen])
+        overlap = (np.conj(back) * state_tensor).imag
+        for j, s in enumerate(settings):
+            marginal = overlap.reshape(d**j, d, -1).sum(axis=(0, 2))
+            gradient[2 * j + (s - 1)] -= (2 * sign) * marginal
+    return total / (d - 1), gradient / (d - 1)
+
+
 def quantum_bell_value(
     state: StateVector,
     config: PhaseConfiguration,

@@ -153,6 +153,28 @@ class TestClassicalMaximum:
                     values.append(value)
                 assert sorted(values) == base
 
+    @pytest.mark.parametrize(
+        "n,d,family",
+        [(2, 200, None), (2, 300, None), (2, 257, BIPARTITE_LEGACY), (10, 2, None), (7, 3, None)],
+    )
+    def test_narrow_scan_numerators_are_exact(self, n, d, family):
+        # the scan keeps digits in the smallest dtype that holds d - 1 and
+        # outcome sums in int32; d = 200, 257 and 300 put the digits at and
+        # past the uint8 range, where any wrap would show
+        e = bell_expression(n, d, family) if family else bell_expression(n, d)
+        sc = e.scenario
+        total = strategy_count(sc)
+        for lo in np.linspace(0, total - 20, 8, dtype=np.int64).tolist():
+            nums = polytope._value_numerators(e, lo, lo + 20)
+            assert nums.dtype == np.int64
+            for k, num in enumerate(nums.tolist()):
+                s = DeterministicStrategy.from_index(sc, lo + k)
+                value = sum(
+                    sign * e.weight(settings, s.outcomes_at(settings))
+                    for settings, sign in e.terms
+                )
+                assert num == value * (d - 1)
+
     def test_threads_do_not_change_result(self):
         e = bell_expression(3, 3)
         a = classical_maximum(e, threads=1)

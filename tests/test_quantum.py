@@ -17,6 +17,8 @@ from bellbench.quantum import (
     BellOperator,
     PhaseConfiguration,
     StateVector,
+    _expression_value_and_gradient,
+    _expression_value_fast,
     beamsplitter_unitary,
     bell_operator,
     ghz_max,
@@ -182,6 +184,32 @@ class TestJointProbabilities:
             quantum_bell_value(state, cfg, e)
             - quantum_bell_value(swapped_state, swapped_cfg, e)
         ) < 1e-10
+
+
+class TestExpressionGradient:
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (4, 3), (2, 4)])
+    def test_gradient_matches_central_differences(self, n, d):
+        sc = Scenario(n, d)
+        e = bell_expression(n, d)
+        rng = np.random.default_rng(10 * n + d)
+
+        def value(vectors):
+            us = [beamsplitter_unitary(v, d) for v in vectors]
+            return _expression_value_fast(tensor, us, e)
+
+        h = 1e-6
+        for _ in range(3):
+            tensor = random_state(sc, rng).as_tensor()
+            vectors = rng.uniform(-PI, PI, size=(2 * n, d))
+            got, gradient = _expression_value_and_gradient(tensor, vectors, e)
+            assert got == value(vectors)
+            assert gradient.shape == (2 * n, d)
+            for v in range(2 * n):
+                for l in range(d):
+                    step = np.zeros((2 * n, d))
+                    step[v, l] = h
+                    central = (value(vectors + step) - value(vectors - step)) / (2 * h)
+                    assert abs(gradient[v, l] - central) < 1e-8
 
 
 class TestReportedSettings:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -163,6 +164,10 @@ def parse_grid(text: str) -> list[tuple[float, ...]]:
     return points
 
 
+# isinstance check per annotated RunSpec field type; bool never counts as a number
+_FIELD_KINDS = {"int": int, "float": numbers.Real, "str": str, "bool": bool}
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Fully resolved description of one workbench run."""
@@ -185,6 +190,13 @@ class RunSpec:
     no_timestamp: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = _FIELD_KINDS[f.type.removeprefix("Optional[").removesuffix("]")]
+            if value is None and f.type.startswith("Optional["):
+                continue
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise DomainError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.command not in COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
         if self.family not in FAMILIES:
@@ -423,26 +435,8 @@ def parse_runspec(argv: Sequence[str]) -> RunSpec:
             raise DomainError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(file_values, dict):
             raise DomainError(f"config {args.config} must hold a JSON object")
-    overrides = {
-        "command": args.command,
-        "n": args.n,
-        "d": args.d,
-        "family": args.family,
-        "state": args.state,
-        "phases": args.phases,
-        "violation": args.violation,
-        "grid": args.grid,
-        "seed": args.seed,
-        "starts": args.starts,
-        "tol": args.tol,
-        "threads": args.threads,
-        "budget": args.budget,
-        "out": args.out,
-        "format": args.format,
-        "no_timestamp": args.no_timestamp,
-    }
     merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
     if merged.get("command") is None:
         raise DomainError("no command given (positional argument or config file)")
     return RunSpec.from_json_dict(merged)

@@ -8,14 +8,14 @@ start-stream is a prefix of any longer run with the same seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError
+from .parallel import parallel_map
 from .scenario import BellExpression, Scenario
 from .quantum import (
     PhaseConfiguration,
@@ -29,8 +29,6 @@ from .quantum import (
     max_eigenpair,
     w_state,
 )
-
-T = TypeVar("T")
 
 MAX_SEESAW_SWEEPS = 100
 
@@ -54,6 +52,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise DomainError("need at least one start")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         finite_positive = 0 < self.tol < math.inf and 0 < self.initial_step < math.inf
         if not finite_positive or self.max_iterations < 1:
             raise DomainError(
@@ -275,30 +275,49 @@ def _phase_objective(
     return objective_and_gradient
 
 
-def _start_point(
-    k: int, size: int, config: OptimizerConfig, deterministic_first: np.ndarray
-) -> np.ndarray:
-    """Start 0 is the deterministic point; others are seeded uniform draws."""
-    if k == 0:
-        return deterministic_first.copy()
-    rng = np.random.default_rng([config.seed, k])
-    return rng.uniform(-np.pi, np.pi, size)
+def multistart(
+    local_search: Callable[[np.ndarray], tuple],
+    first: np.ndarray,
+    config: OptimizerConfig,
+    threads: int = 1,
+) -> tuple[tuple, list[tuple]]:
+    """Run local_search from config.starts points; (best tuple, per-start list).
+
+    Start 0 is `first`; start k >= 1 is uniform in [-pi, pi) from a
+    generator seeded by (config.seed, k).  Each tuple local_search returns
+    begins (x, value, converged, evaluations); later entries pass through
+    untouched.  The best start has the largest value, ties going to the
+    lowest start index.
+    """
+
+    def one_start(k: int) -> tuple:
+        if k == 0:
+            return local_search(first.copy())
+        rng = np.random.default_rng([config.seed, k])
+        return local_search(rng.uniform(-np.pi, np.pi, first.size))
+
+    per_start = parallel_map(threads, one_start, range(config.starts))
+    return max(per_start, key=lambda r: r[1]), per_start
 
 
-def _map_starts(threads: int, fn: Callable[[int], T], count: int) -> list[T]:
-    if threads <= 1 or count <= 1:
-        return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
-def _pick_best(per_start: list[tuple]) -> int:
-    """Index of the maximal value; ties go to the lowest start index."""
-    best = 0
-    for k in range(1, len(per_start)):
-        if per_start[k][1] > per_start[best][1]:
-            best = k
-    return best
+def _result(
+    best: tuple,
+    per_start: list[tuple],
+    best_phases: PhaseConfiguration,
+    best_state: Optional[StateVector] = None,
+    **extra,
+) -> OptimizationResult:
+    """OptimizationResult of a multistart run; extra fields pass through."""
+    return OptimizationResult(
+        best_value=best[1],
+        best_phases=best_phases,
+        best_state=best_state,
+        start_values=tuple((k, r[1]) for k, r in enumerate(per_start)),
+        converged=best[2],
+        converged_starts=sum(r[2] for r in per_start),
+        evaluations=sum(r[3] for r in per_start),
+        **extra,
+    )
 
 
 def optimize_phases(
@@ -313,25 +332,13 @@ def optimize_phases(
     if state.scenario != sc:
         raise DomainError("state scenario does not match the expression")
     objective_and_gradient = _phase_objective(state.as_tensor(), expression)
-    n_params = _phase_param_count(sc)
-    zeros = np.zeros(n_params)
-
-    def one_start(k: int):
-        x0 = _start_point(k, n_params, config, zeros)
-        return _escaping_gradient_max(objective_and_gradient, x0, config)
-
-    per_start = _map_starts(threads, one_start, config.starts)
-    best = _pick_best(per_start)
-    x, val, ok, _ = per_start[best]
-    return OptimizationResult(
-        best_value=val,
-        best_phases=_config_from_params(x, sc),
-        best_state=None,
-        start_values=tuple((k, r[1]) for k, r in enumerate(per_start)),
-        converged=ok,
-        converged_starts=sum(r[2] for r in per_start),
-        evaluations=sum(r[3] for r in per_start),
+    best, per_start = multistart(
+        lambda x0: _escaping_gradient_max(objective_and_gradient, x0, config),
+        np.zeros(_phase_param_count(sc)),
+        config,
+        threads,
     )
+    return _result(best, per_start, _config_from_params(best[0], sc))
 
 
 def seesaw(
@@ -348,11 +355,8 @@ def seesaw(
     """
     config = config or OptimizerConfig()
     sc = expression.scenario
-    n_params = _phase_param_count(sc)
-    zeros = np.zeros(n_params)
 
-    def one_start(k: int):
-        x = _start_point(k, n_params, config, zeros)
+    def one_start(x: np.ndarray):
         state: Optional[StateVector] = None
         trajectory: list[float] = []
         prev = -np.inf
@@ -372,17 +376,14 @@ def seesaw(
             prev = val
         return x, trajectory[-1], converged, evaluations, state, tuple(trajectory)
 
-    per_start = _map_starts(threads, one_start, config.starts)
-    best = _pick_best(per_start)
-    x, val, ok, _, state, _ = per_start[best]
-    return OptimizationResult(
-        best_value=val,
-        best_phases=_config_from_params(x, sc),
-        best_state=state,
-        start_values=tuple((k, r[1]) for k, r in enumerate(per_start)),
-        converged=ok,
-        converged_starts=sum(r[2] for r in per_start),
-        evaluations=sum(r[3] for r in per_start),
+    best, per_start = multistart(
+        one_start, np.zeros(_phase_param_count(sc)), config, threads
+    )
+    return _result(
+        best,
+        per_start,
+        _config_from_params(best[0], sc),
+        best_state=best[4],
         trajectories=tuple(r[5] for r in per_start),
     )
 
@@ -436,26 +437,19 @@ def optimize_state_family(
     first = np.zeros(n_params)
     first[:n_angles] = np.pi / 4
 
-    def one_start(k: int):
-        x0 = _start_point(k, n_params, config, first)
-        x, val, ok, nfev = _nelder_mead_max(objective, x0, config)
-        return x, val, ok, nfev
-
-    per_start = _map_starts(threads, one_start, config.starts)
-    best = _pick_best(per_start)
-    x, val, ok, _ = per_start[best]
+    best, per_start = multistart(
+        lambda x0: _nelder_mead_max(objective, x0, config), first, config, threads
+    )
+    x = best[0]
     angles = wrap_angle(x[:n_angles])
     best_phases = (
         _config_from_params(x[n_angles:], sc) if free_phases else phases
     )
-    return OptimizationResult(
-        best_value=val,
-        best_phases=best_phases,
+    return _result(
+        best,
+        per_start,
+        best_phases,
         best_state=fam.build(angles),
-        start_values=tuple((k, r[1]) for k, r in enumerate(per_start)),
-        converged=ok,
-        converged_starts=sum(r[2] for r in per_start),
-        evaluations=sum(r[3] for r in per_start),
         family_angles={name: float(a) for name, a in zip(fam.param_names, angles)},
     )
 
@@ -497,4 +491,4 @@ def sweep(
         result = optimize_phases(fam.build(points[i]), expression, point_config)
         return SweepRow(points[i], result.best_value, result.converged)
 
-    return _map_starts(threads, one_point, len(points))
+    return parallel_map(threads, one_point, range(len(points)))

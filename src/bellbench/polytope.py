@@ -10,7 +10,6 @@ prime, with an exact integer rank as the fallback for deficient ranks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -18,6 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
+from .parallel import parallel_map
 from .scenario import (
     BellExpression,
     ProbabilityTable,
@@ -167,15 +167,6 @@ class ClassicalMaximum:
         return strategy_count(self.expression.scenario)
 
 
-def _scan_chunks(total: int, threads: int, work):
-    """Apply work(lo, hi) to contiguous chunks, results in chunk order."""
-    ranges = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if threads <= 1 or len(ranges) <= 1:
-        return [work(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: work(*r), ranges))
-
-
 def classical_maximum(
     expression: BellExpression,
     budget: int = DEFAULT_BUDGET,
@@ -191,8 +182,8 @@ def classical_maximum(
     total = _check_budget(sc, budget)
     d = sc.outcomes
 
-    def work(lo: int, hi: int):
-        nums = _value_numerators(expression, lo, hi)
+    def work(lo: int):
+        nums = _value_numerators(expression, lo, min(lo + _CHUNK, total))
         k = int(np.argmax(nums))
         values, counts = np.unique(nums, return_counts=True)
         return int(nums[k]), lo + k, values, counts
@@ -200,7 +191,7 @@ def classical_maximum(
     best_num = None
     best_idx = None
     hist: dict[int, int] = {}
-    for num, idx, values, counts in _scan_chunks(total, threads, work):
+    for num, idx, values, counts in parallel_map(threads, work, range(0, total, _CHUNK)):
         if best_num is None or num > best_num:
             best_num, best_idx = num, idx
         for v, c in zip(values.tolist(), counts.tolist()):

@@ -14,14 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .optimize import (
-    OptimizerConfig,
-    _gradient_max,
-    _map_starts,
-    _nelder_mead_max,
-    _pick_best,
-    _start_point,
-)
+from .optimize import OptimizerConfig, _gradient_max, _nelder_mead_max, multistart
 from .quantum import StateVector
 from .scenario import MULTIPARTITE, BellExpression, Scenario, bell_expression
 
@@ -175,17 +168,6 @@ def _product_search(state: StateVector, terms, config: OptimizerConfig):
     return lambda x0: _gradient_max(objective_and_gradient, x0, config)
 
 
-def _multistart_max(local_max, n_params: int, config: OptimizerConfig, threads: int) -> float:
-    """Best of config.starts runs of local_max(x0) -> (x, value, ok, nfev)."""
-    zeros = np.zeros(n_params)
-
-    def one_start(k: int):
-        return local_max(_start_point(k, n_params, config, zeros))
-
-    per_start = _map_starts(threads, one_start, config.starts)
-    return float(per_start[_pick_best(per_start)][1])
-
-
 def mermin3_max(
     state: StateVector,
     config: Optional[OptimizerConfig] = None,
@@ -194,7 +176,8 @@ def mermin3_max(
     """Multistart maximization of the Mermin value over the 12 Bloch angles."""
     _check_three_qubits(state)
     config = config or OptimizerConfig()
-    return _multistart_max(_product_search(state, _MERMIN_TERMS, config), 12, config, threads)
+    search = _product_search(state, _MERMIN_TERMS, config)
+    return float(multistart(search, np.zeros(12), config, threads)[0][1])
 
 
 def _check_qubit_product_form(expression: BellExpression) -> None:
@@ -225,7 +208,8 @@ def qubit_general_max(
     _check_qubit_product_form(expression)
     config = config or OptimizerConfig()
     terms = tuple((settings, sign) for settings, sign in expression.terms)
-    return _multistart_max(_product_search(state, terms, config), 12, config, threads)
+    search = _product_search(state, terms, config)
+    return float(multistart(search, np.zeros(12), config, threads)[0][1])
 
 
 def qubit_general_family_max(
@@ -249,9 +233,8 @@ def qubit_general_family_max(
         t = _correlation_tensor(fam.build(x[:n_angles]))
         return _tensor_functional(t, _bloch_rows(x[n_angles:]), terms)
 
-    return _multistart_max(
-        lambda x0: _nelder_mead_max(objective, x0, config), n_angles + 12, config, threads
-    )
+    search = lambda x0: _nelder_mead_max(objective, x0, config)
+    return float(multistart(search, np.zeros(n_angles + 12), config, threads)[0][1])
 
 
 def reduce_to_bipartite(expression: BellExpression) -> BellExpression:

@@ -1,6 +1,7 @@
 """Run-spec parsing, dispatch, report determinism, and exit codes."""
 
 import json
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -12,6 +13,7 @@ from bellbench.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     RunSpec,
+    _build_parser,
     main,
     parse_angle,
     parse_grid,
@@ -140,6 +142,32 @@ class TestRunSpec:
         assert spec.command == "classical"
         assert (spec.n, spec.d, spec.family) == (3, 4, "multipartite")
 
+    def test_parser_flags_are_the_runspec_fields(self):
+        dests = {action.dest for action in _build_parser()._actions}
+        assert dests - {"help", "config"} == {f.name for f in fields(RunSpec)}
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"n": "3"},
+            {"starts": "4"},
+            {"threads": 2.5},
+            {"d": True},
+            {"tol": "1e-9"},
+            {"violation": False},
+            {"state": 5},
+            {"no_timestamp": 1},
+            {"seed": None},
+        ],
+        ids=lambda values: next(iter(values)),
+    )
+    def test_config_values_are_type_checked(self, values, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"command": "classical", "n": 3, "d": 2, **values}))
+        assert main(["--config", str(config)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and next(iter(values)) in err
+
 
 class TestRunCommands:
     def test_classical(self):
@@ -250,6 +278,20 @@ class TestMainEntry:
         second = json.loads(out.read_text())
         assert first["result"] == second["result"]
         assert first["diagnostics"] == second["diagnostics"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--state", "ghz_qubit:1/4pi"],
+            ["sweep", "--state", "ghz_qubit", "--grid", "1/4pi"],
+        ],
+    )
+    def test_negative_seed_exits_cleanly(self, argv, capsys):
+        argv = argv + ["--n", "3", "--d", "2", "--starts", "2", "--seed", "-1"]
+        assert main(argv) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert "Traceback" not in err
 
     def test_domain_error_exit(self, capsys):
         assert main(["classical", "--n", "3", "--d", "1"]) == EXIT_DOMAIN

@@ -1,9 +1,12 @@
 """Multistart phase search, see-saw, families, sweeps, determinism."""
 
+import collections
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bellbench import DomainError, bell_expression
+from bellbench import DomainError, bell_expression, optimize
 from bellbench.optimize import (
     OptimizerConfig,
     derived_seed,
@@ -19,7 +22,9 @@ from bellbench.quantum import (
     ghz_qutrit,
     max_eigenpair,
     quantum_bell_value,
+    w_state,
 )
+from bellbench.reference import mermin3_max, qubit_general_family_max, qubit_general_max
 
 PI = np.pi
 ROOT8 = 2 * np.sqrt(2)
@@ -259,5 +264,82 @@ class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             OptimizerConfig(starts=0)
+        with pytest.raises(DomainError, match="seed"):
+            OptimizerConfig(seed=-1)
         with pytest.raises(DomainError):
             OptimizerConfig(tol=-1.0)
+
+
+E32 = bell_expression(3, 2)
+
+# every multistart search as (config, threads) -> result, with a small config
+SEARCHES = [
+    pytest.param(lambda c, t: seesaw(E32, c, t), OptimizerConfig(seed=3), id="seesaw"),
+    pytest.param(
+        lambda c, t: optimize_state_family("ghz_qubit", E32, c, threads=t),
+        OptimizerConfig(seed=4),
+        id="optimize_state_family",
+    ),
+    pytest.param(
+        lambda c, t: mermin3_max(ghz_qubit(0.6), c, t), OptimizerConfig(seed=5), id="mermin3_max"
+    ),
+    pytest.param(
+        lambda c, t: qubit_general_max(w_state(0.9, 0.8), E32, c, t),
+        OptimizerConfig(seed=6),
+        id="qubit_general_max",
+    ),
+    pytest.param(
+        lambda c, t: qubit_general_family_max("w_state", E32, c, t),
+        OptimizerConfig(seed=7, max_iterations=600),
+        id="qubit_general_family_max",
+    ),
+]
+
+
+class TestMultistartContract:
+    @pytest.mark.parametrize("search,config", SEARCHES)
+    def test_threads_and_start_prefix(self, search, config):
+        serial = search(replace(config, starts=4), 1)
+        threaded = search(replace(config, starts=4), 3)
+        fewer = search(replace(config, starts=2), 1)
+        if isinstance(serial, float):
+            assert serial == threaded
+            assert fewer <= serial
+        else:
+            assert serial.to_json_dict() == threaded.to_json_dict()
+            assert serial.start_values[:2] == fewer.start_values
+
+    def test_ties_go_to_the_lowest_start(self):
+        # every start reaches the same value, so start 0 must win
+        best, per_start = optimize.multistart(
+            lambda x: (x, 1.0, True, 1, "extra"), np.zeros(2), OptimizerConfig(starts=3, seed=1)
+        )
+        assert best is per_start[0]
+        assert np.array_equal(best[0], np.zeros(2)) and best[4] == "extra"
+
+
+class TestTracedNames:
+    """perfbench times these module attributes of bellbench.optimize by name."""
+
+    @pytest.mark.parametrize(
+        "search,reached",
+        [
+            (lambda c: optimize_phases(ghz_qubit(0.5), E32, c, threads=2), {"minimize"}),
+            (lambda c: seesaw(E32, c, threads=2), {"minimize", "bell_operator", "max_eigenpair"}),
+            (lambda c: optimize_state_family("ghz_qubit", E32, c, threads=2), {"minimize"}),
+            (lambda c: mermin3_max(ghz_qubit(0.5), c, threads=2), {"minimize"}),
+        ],
+        ids=["optimize_phases", "seesaw", "optimize_state_family", "mermin3_max"],
+    )
+    def test_searches_call_through_module_names(self, monkeypatch, search, reached):
+        calls = collections.Counter()
+        for name in ("minimize", "bell_operator", "max_eigenpair"):
+            original = getattr(optimize, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(optimize, name, counting)
+        search(OptimizerConfig(starts=2, seed=1))
+        assert reached <= set(calls)

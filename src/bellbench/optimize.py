@@ -21,8 +21,6 @@ from .quantum import (
     PhaseConfiguration,
     StateVector,
     _expression_value_and_gradient,
-    _expression_value_fast,
-    beamsplitter_unitary,
     bell_operator,
     ghz_qubit,
     ghz_qutrit,
@@ -63,12 +61,26 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Named parametric family of pure states for family-level optimization."""
+    """Named parametric family of pure states for family-level optimization.
+
+    Every amplitude of build(angles) must be a*cos + b*sin + c in each angle
+    (a, b, c free in the other angles), so that derivatives is exact.
+    """
 
     name: str
     param_names: tuple[str, ...]
     scenario: Scenario
     build: Callable[[Sequence[float]], StateVector]
+
+    def derivatives(self, angles: np.ndarray) -> np.ndarray:
+        """Row k is d psi / d angle_k, by the shift rule
+        (psi(a + pi/2) - psi(a - pi/2)) / 2, exact under the contract above."""
+        rows = []
+        for shift in np.eye(len(self.param_names)) * (np.pi / 2):
+            up = self.build(angles + shift).amplitudes
+            down = self.build(angles - shift).amplitudes
+            rows.append((up - down) / 2)
+        return np.array(rows, dtype=np.complex128).reshape(-1, self.scenario.dimension)
 
 
 STATE_FAMILIES: dict[str, StateFamily] = {
@@ -147,44 +159,17 @@ def _config_from_params(x: np.ndarray, scenario: Scenario) -> PhaseConfiguration
     return PhaseConfiguration(scenario, _phase_vectors(wrap_angle(x), scenario))
 
 
-def _fast_unitaries(x: np.ndarray, scenario: Scenario) -> list[np.ndarray]:
-    d = scenario.outcomes
-    return [beamsplitter_unitary(v, d) for v in _phase_vectors(x, scenario)]
-
-
-def _nelder_mead_max(
-    objective: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    config: OptimizerConfig,
-) -> tuple[np.ndarray, float, bool, int]:
-    """Simplex local search, maximizing; returns (x, value, success, nfev)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size == 0:
-        return x0, objective(x0), True, 1
-    simplex = np.vstack([x0] + [x0 + config.initial_step * e for e in np.eye(x0.size)])
-    res = minimize(
-        lambda x: -objective(x),
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "xatol": 1e-6,
-            "fatol": config.tol,
-            "maxiter": config.max_iterations,
-            "maxfev": config.max_iterations,
-        },
-    )
-    return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), int(res.nfev)
-
-
 def _gradient_max(
     objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
     config: OptimizerConfig,
 ) -> tuple[np.ndarray, float, bool, int]:
-    """L-BFGS-B on an analytic gradient, maximizing; returns what
-    _nelder_mead_max returns.  Each value-and-gradient call counts as one
-    evaluation."""
+    """L-BFGS-B on an analytic gradient, maximizing; returns (x, value,
+    success, evaluations), each value-and-gradient call counting as one
+    evaluation.  With no parameters the objective is read once."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size == 0:
+        return x0, objective_and_gradient(x0)[0], True, 1
 
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
         value, gradient = objective_and_gradient(x)
@@ -192,7 +177,7 @@ def _gradient_max(
 
     res = minimize(
         negated,
-        np.asarray(x0, dtype=float),
+        x0,
         jac=True,
         method="L-BFGS-B",
         options={
@@ -244,7 +229,7 @@ def _escaping_gradient_max(
         remaining = replace(config, max_iterations=budget - evaluations)
         x, value, ok, nfev = _gradient_max(objective_and_gradient, x, remaining)
         evaluations += nfev
-        if not ok or evaluations + 2 * x.size + 2 >= budget:
+        if not ok or x.size == 0 or evaluations + 2 * x.size + 2 >= budget:
             return x, value, ok, evaluations
         curvature, direction = _top_curvature(objective_and_gradient, x)
         evaluations += 2 * x.size
@@ -269,7 +254,7 @@ def _phase_objective(
 
     def objective_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
         vectors = _phase_vectors(x, sc)
-        value, gradient = _expression_value_and_gradient(state_tensor, vectors, expression)
+        value, gradient, _ = _expression_value_and_gradient(state_tensor, vectors, expression)
         return value, gradient[:, 1:].ravel()
 
     return objective_and_gradient
@@ -415,31 +400,29 @@ def optimize_state_family(
             f"family {fam.name} lives on {fam.scenario}, expression on {sc}"
         )
     n_angles = len(fam.param_names)
-    free_phases = isinstance(phases, str)
-    if free_phases:
-        if phases != "free":
-            raise DomainError(f"phases must be 'free' or a PhaseConfiguration")
-        n_params = n_angles + _phase_param_count(sc)
-        fixed_unitaries = None
-    else:
+    free_phases = isinstance(phases, str) and phases == "free"
+    if not free_phases:
+        if not isinstance(phases, PhaseConfiguration):
+            raise DomainError("phases must be 'free' or a PhaseConfiguration")
         if phases.scenario != sc:
             raise DomainError("fixed phases do not match the expression scenario")
-        n_params = n_angles
-        fixed_unitaries = phases.unitaries()
 
-    def objective(x: np.ndarray) -> float:
-        tensor = fam.build(x[:n_angles]).as_tensor()
-        us = (
-            _fast_unitaries(x[n_angles:], sc) if free_phases else fixed_unitaries
+    def objective_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        angles = x[:n_angles]
+        vectors = _phase_vectors(x[n_angles:], sc) if free_phases else phases.vectors
+        value, phase_gradient, b_psi = _expression_value_and_gradient(
+            fam.build(angles).as_tensor(), vectors, expression
         )
-        return _expression_value_fast(tensor, us, expression)
+        gradient = 2 * (fam.derivatives(angles) @ np.conj(b_psi.ravel())).real
+        if free_phases:
+            gradient = np.concatenate([gradient, phase_gradient[:, 1:].ravel()])
+        return value, gradient
 
-    first = np.zeros(n_params)
+    first = np.zeros(n_angles + (_phase_param_count(sc) if free_phases else 0))
     first[:n_angles] = np.pi / 4
 
-    best, per_start = multistart(
-        lambda x0: _nelder_mead_max(objective, x0, config), first, config, threads
-    )
+    search = lambda x0: _escaping_gradient_max(objective_and_gradient, x0, config)
+    best, per_start = multistart(search, first, config, threads)
     x = best[0]
     angles = wrap_angle(x[:n_angles])
     best_phases = (

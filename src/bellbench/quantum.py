@@ -190,40 +190,27 @@ def joint_probabilities(
     return ProbabilityTable(sc, blocks, validate=False)
 
 
-def _expression_value_fast(
-    state_tensor: np.ndarray,
-    unitaries: Sequence[np.ndarray],
-    expression: BellExpression,
-) -> float:
-    """Bell value touching only the four term blocks (optimizer hot path)."""
-    sc = expression.scenario
-    total = 0.0
-    for settings, sign in expression.terms:
-        w = weight_numerators(sc.parties, sc.outcomes, expression.family, settings)
-        block = _term_block(state_tensor, unitaries, settings)
-        total += sign * float(np.dot(w.ravel(), block.ravel()))
-    return total / (sc.outcomes - 1)
-
-
 def _expression_value_and_gradient(
     state_tensor: np.ndarray,
     vectors: Sequence[np.ndarray],
     expression: BellExpression,
-) -> tuple[float, np.ndarray]:
-    """Bell value and its gradient in every phase, shape (2N, d).
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Bell value, its gradient in every phase, shape (2N, d), and B psi.
 
     The splitter depends on phase l only through its column l, so moving
     phi_l of party j multiplies the amplitudes with x_j = l by i before the
     splitters act.  With A = (U1 x ... x UN) psi and Y = (U1+ x ... x UN+)(w A),
-    a term's derivative is -2 Im sum_{x: x_j = l} conj(Y[x]) psi[x].  The value
-    is accumulated exactly as in _expression_value_fast, so the two agree
-    bit for bit.
+    a term's derivative is -2 Im sum_{x: x_j = l} conj(Y[x]) psi[x].  The
+    signed sum of the Y over the terms, over d - 1, is B psi for the Bell
+    operator B, shaped like state_tensor: a change dpsi of the state moves
+    the value by 2 Re <B psi, dpsi>.
     """
     sc = expression.scenario
     n, d = sc.parties, sc.outcomes
     unitaries = [beamsplitter_unitary(v, d) for v in vectors]
     total = 0.0
     gradient = np.zeros((2 * n, d))
+    b_psi = np.zeros(state_tensor.shape, dtype=np.complex128)
     for settings, sign in expression.terms:
         w = weight_numerators(n, d, expression.family, settings)
         chosen = [unitaries[2 * j + (s - 1)] for j, s in enumerate(settings)]
@@ -231,11 +218,12 @@ def _expression_value_and_gradient(
         block = np.abs(amp) ** 2
         total += sign * float(np.dot(w.ravel(), block.ravel()))
         back = _apply_party_unitaries(w * amp, [u.conj().T for u in chosen])
+        b_psi += sign * back
         overlap = (np.conj(back) * state_tensor).imag
         for j, s in enumerate(settings):
             marginal = overlap.reshape(d**j, d, -1).sum(axis=(0, 2))
             gradient[2 * j + (s - 1)] -= (2 * sign) * marginal
-    return total / (d - 1), gradient / (d - 1)
+    return total / (d - 1), gradient / (d - 1), b_psi / (d - 1)
 
 
 def quantum_bell_value(
@@ -246,6 +234,8 @@ def quantum_bell_value(
     """Bell value of the full quantum probability table."""
     if expression.scenario != state.scenario:
         raise DomainError("expression scenario does not match the state")
+    # Looked up at call time, so a wrapper installed on
+    # bellbench.scenario.bell_value (a tracer's span) sees this call.
     from .scenario import bell_value
 
     return float(bell_value(expression, joint_probabilities(state, config)))

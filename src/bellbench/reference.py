@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .optimize import OptimizerConfig, _gradient_max, _nelder_mead_max, multistart
+from .optimize import OptimizerConfig, StateFamily, _gradient_max, _resolve_family, multistart
 from .quantum import StateVector
 from .scenario import MULTIPARTITE, BellExpression, Scenario, bell_expression
 
@@ -101,14 +101,15 @@ def mermin3_value(state: StateVector, settings: BlochSettings) -> float:
 _PAULIS = np.stack([_SIGMA_X, _SIGMA_Y, _SIGMA_Z])
 
 
-def _correlation_tensor(state: StateVector) -> np.ndarray:
-    """T[a,b,c] = <sigma_a x sigma_b x sigma_c>, so every product-observable
-    expectation is the trilinear form of T with the three Bloch vectors."""
-    p = state.amplitudes.reshape(2, 2, 2)
+def _correlation_tensor(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """T[a,b,c] = Re <bra| sigma_a x sigma_b x sigma_c |ket>.  With bra = ket
+    every product-observable expectation is the trilinear form of T with the
+    three Bloch vectors; with ket = d psi it is half that form's derivative."""
+    p = ket.reshape(2, 2, 2)
     tmp = np.einsum("axi,ijk->axjk", _PAULIS, p)
     tmp = np.einsum("byj,axjk->abxyk", _PAULIS, tmp)
     tmp = np.einsum("czk,abxyk->abcxyz", _PAULIS, tmp)
-    return np.real(np.einsum("xyz,abcxyz->abc", np.conj(p), tmp))
+    return np.real(np.einsum("xyz,abcxyz->abc", np.conj(bra.reshape(2, 2, 2)), tmp))
 
 
 def _bloch_rows(angles: np.ndarray) -> np.ndarray:
@@ -121,22 +122,13 @@ def _bloch_rows(angles: np.ndarray) -> np.ndarray:
     )
 
 
-def _tensor_functional(
-    t: np.ndarray, vecs: np.ndarray, terms: tuple[tuple[tuple[int, int, int], int], ...]
-) -> float:
-    total = 0.0
-    for (i, j, k), sign in terms:
-        e = vecs[i - 1] @ (t @ vecs[4 + k - 1]) @ vecs[2 + j - 1]
-        total += sign * float(e)
-    return total
-
-
 def _tensor_functional_and_gradient(
     t: np.ndarray, angles: np.ndarray, terms: tuple[tuple[tuple[int, int, int], int], ...]
 ) -> tuple[float, np.ndarray]:
-    """_tensor_functional at _bloch_rows(angles) and its gradient in the 12
-    angles.  Each term is trilinear, so its derivative along one party's
-    vector is T contracted with the other two vectors."""
+    """Signed sum of the terms' trilinear forms of T at _bloch_rows(angles),
+    and its gradient in the 12 angles.  Each term is trilinear, so its
+    derivative along one party's vector is T contracted with the other two
+    vectors."""
     vecs = _bloch_rows(angles)
     total = 0.0
     d_vecs = np.zeros((6, 3))
@@ -160,7 +152,7 @@ def _tensor_functional_and_gradient(
 
 def _product_search(state: StateVector, terms, config: OptimizerConfig):
     """Gradient local search over the 12 Bloch angles of a product functional."""
-    t = _correlation_tensor(state)
+    t = _correlation_tensor(state.amplitudes, state.amplitudes)
 
     def objective_and_gradient(angles: np.ndarray) -> tuple[float, np.ndarray]:
         return _tensor_functional_and_gradient(t, angles, terms)
@@ -212,6 +204,27 @@ def qubit_general_max(
     return float(multistart(search, np.zeros(12), config, threads)[0][1])
 
 
+def _family_objective(fam: StateFamily, terms):
+    """Value and gradient in (family angles, 12 Bloch angles).  The value is
+    the form F of _correlation_tensor(psi, psi), linear in the tensor, so
+    angle k moves it by 2 F(_correlation_tensor(psi, d psi / d angle_k))."""
+    n_angles = len(fam.param_names)
+
+    def objective_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        angles, bloch = x[:n_angles], x[n_angles:]
+        psi = fam.build(angles).amplitudes
+        value, bloch_gradient = _tensor_functional_and_gradient(
+            _correlation_tensor(psi, psi), bloch, terms
+        )
+        angle_gradient = [
+            2 * _tensor_functional_and_gradient(_correlation_tensor(psi, d_psi), bloch, terms)[0]
+            for d_psi in fam.derivatives(angles)
+        ]
+        return value, np.concatenate([angle_gradient, bloch_gradient])
+
+    return objective_and_gradient
+
+
 def qubit_general_family_max(
     family,
     expression: BellExpression,
@@ -219,22 +232,16 @@ def qubit_general_family_max(
     threads: int = 1,
 ) -> float:
     """Joint maximization over family angles and general qubit observables."""
-    from .optimize import _resolve_family
-
     _check_qubit_product_form(expression)
     fam = _resolve_family(family)
     if fam.scenario != Scenario(3, 2):
         raise DomainError(f"family {fam.name} is not a three-qubit family")
     config = config or OptimizerConfig()
     terms = tuple((settings, sign) for settings, sign in expression.terms)
-    n_angles = len(fam.param_names)
-
-    def objective(x: np.ndarray) -> float:
-        t = _correlation_tensor(fam.build(x[:n_angles]))
-        return _tensor_functional(t, _bloch_rows(x[n_angles:]), terms)
-
-    search = lambda x0: _nelder_mead_max(objective, x0, config)
-    return float(multistart(search, np.zeros(n_angles + 12), config, threads)[0][1])
+    objective_and_gradient = _family_objective(fam, terms)
+    search = lambda x0: _gradient_max(objective_and_gradient, x0, config)
+    n_params = len(fam.param_names) + 12
+    return float(multistart(search, np.zeros(n_params), config, threads)[0][1])
 
 
 def reduce_to_bipartite(expression: BellExpression) -> BellExpression:

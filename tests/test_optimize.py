@@ -6,9 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bellbench.scenario
 from bellbench import DomainError, bell_expression, optimize
 from bellbench.optimize import (
+    STATE_FAMILIES,
     OptimizerConfig,
+    StateFamily,
     derived_seed,
     optimize_phases,
     optimize_state_family,
@@ -17,6 +20,7 @@ from bellbench.optimize import (
     wrap_angle,
 )
 from bellbench.quantum import (
+    PhaseConfiguration,
     bell_operator,
     ghz_qubit,
     ghz_qutrit,
@@ -191,8 +195,6 @@ class TestStateFamilies:
 
     def test_fixed_phases_reduces_to_angle_search(self):
         e = bell_expression(3, 2)
-        from bellbench.quantum import PhaseConfiguration
-
         fixed = PhaseConfiguration(
             e.scenario,
             [[0, -PI / 12], [0, PI / 4], [0, -PI / 6], [0, PI / 3], [0, 0], [0, PI / 6]],
@@ -203,13 +205,47 @@ class TestStateFamilies:
         assert abs(result.best_value - ROOT8) < 1e-6
         assert result.best_phases is fixed
 
+    def test_family_without_angles(self):
+        # nothing to search: every start is the one evaluation at the fixed point
+        e = bell_expression(3, 2)
+        family = StateFamily("ghz_balanced", (), e.scenario, lambda a: ghz_qubit(PI / 4))
+        result = optimize_state_family(
+            family, e, OptimizerConfig(starts=2, seed=1), phases=PhaseConfiguration.zeros(e.scenario)
+        )
+        assert abs(result.best_value - 2) < 1e-12
+        assert result.converged and result.evaluations == 2
+        assert result.family_angles == {}
+
+    @pytest.mark.parametrize("name", sorted(STATE_FAMILIES))
+    def test_derivatives_match_central_differences(self, name):
+        family = STATE_FAMILIES[name]
+        n_angles = len(family.param_names)
+        rng = np.random.default_rng(12)
+        h = 1e-6
+        for _ in range(5):
+            angles = rng.uniform(-PI, PI, n_angles)
+            rows = family.derivatives(angles)
+            assert rows.shape == (n_angles, family.scenario.dimension)
+            for k in range(n_angles):
+                step = np.zeros(n_angles)
+                step[k] = h
+                up = family.build(angles + step).amplitudes
+                down = family.build(angles - step).amplitudes
+                assert np.abs(rows[k] - (up - down) / (2 * h)).max() < 1e-8
+
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             optimize_state_family("bogus", bell_expression(3, 2))
+        for phases in (None, "fixed"):
+            with pytest.raises(DomainError, match="phases must be"):
+                optimize_state_family("ghz_qubit", bell_expression(3, 2), phases=phases)
 
     def test_family_scenario_mismatch(self):
         with pytest.raises(DomainError):
             optimize_state_family("ghz_qutrit", bell_expression(3, 2))
+        qutrit_phases = PhaseConfiguration.zeros(bell_expression(3, 3).scenario)
+        with pytest.raises(DomainError, match="fixed phases"):
+            optimize_state_family("ghz_qubit", bell_expression(3, 2), phases=qutrit_phases)
 
 
 class TestSweep:
@@ -319,7 +355,8 @@ class TestMultistartContract:
 
 
 class TestTracedNames:
-    """perfbench times these module attributes of bellbench.optimize by name."""
+    """perfbench times these module attributes by name, so the searches must
+    look them up at call time."""
 
     @pytest.mark.parametrize(
         "search,reached",
@@ -328,8 +365,17 @@ class TestTracedNames:
             (lambda c: seesaw(E32, c, threads=2), {"minimize", "bell_operator", "max_eigenpair"}),
             (lambda c: optimize_state_family("ghz_qubit", E32, c, threads=2), {"minimize"}),
             (lambda c: mermin3_max(ghz_qubit(0.5), c, threads=2), {"minimize"}),
+            (lambda c: qubit_general_max(ghz_qubit(0.5), E32, c, threads=2), {"minimize"}),
+            (lambda c: qubit_general_family_max("w_state", E32, c, threads=2), {"minimize"}),
         ],
-        ids=["optimize_phases", "seesaw", "optimize_state_family", "mermin3_max"],
+        ids=[
+            "optimize_phases",
+            "seesaw",
+            "optimize_state_family",
+            "mermin3_max",
+            "qubit_general_max",
+            "qubit_general_family_max",
+        ],
     )
     def test_searches_call_through_module_names(self, monkeypatch, search, reached):
         calls = collections.Counter()
@@ -343,3 +389,16 @@ class TestTracedNames:
             monkeypatch.setattr(optimize, name, counting)
         search(OptimizerConfig(starts=2, seed=1))
         assert reached <= set(calls)
+
+    def test_table_route_calls_scenario_bell_value(self, monkeypatch):
+        calls = []
+        original = bellbench.scenario.bell_value
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bellbench.scenario, "bell_value", counting)
+        cfg = PhaseConfiguration.zeros(E32.scenario)
+        assert quantum_bell_value(ghz_qubit(PI / 4), cfg, E32) == pytest.approx(2)
+        assert len(calls) == 1

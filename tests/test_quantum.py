@@ -1,6 +1,7 @@
 """Beamsplitter measurements, quantum tables, operators, states, noise."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from bellbench.quantum import (
     PhaseConfiguration,
     StateVector,
     _expression_value_and_gradient,
-    _expression_value_fast,
     beamsplitter_unitary,
     bell_operator,
     ghz_max,
@@ -194,15 +194,14 @@ class TestExpressionGradient:
         rng = np.random.default_rng(10 * n + d)
 
         def value(vectors):
-            us = [beamsplitter_unitary(v, d) for v in vectors]
-            return _expression_value_fast(tensor, us, e)
+            return quantum_bell_value(state, PhaseConfiguration(sc, vectors), e)
 
         h = 1e-6
         for _ in range(3):
-            tensor = random_state(sc, rng).as_tensor()
+            state = random_state(sc, rng)
             vectors = rng.uniform(-PI, PI, size=(2 * n, d))
-            got, gradient = _expression_value_and_gradient(tensor, vectors, e)
-            assert got == value(vectors)
+            got, gradient, _ = _expression_value_and_gradient(state.as_tensor(), vectors, e)
+            assert abs(got - value(vectors)) < 1e-12
             assert gradient.shape == (2 * n, d)
             for v in range(2 * n):
                 for l in range(d):
@@ -210,6 +209,29 @@ class TestExpressionGradient:
                     step[v, l] = h
                     central = (value(vectors + step) - value(vectors - step)) / (2 * h)
                     assert abs(gradient[v, l] - central) < 1e-8
+
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_state_gradient_matches_central_differences(self, n, d):
+        # the third output is B psi: dpsi moves the value by 2 Re <B psi, dpsi>
+        sc = Scenario(n, d)
+        e = bell_expression(n, d)
+        rng = np.random.default_rng(100 + 10 * n + d)
+
+        def value(tensor):
+            return _expression_value_and_gradient(tensor, vectors, e)[0]
+
+        h = 1e-6
+        for _ in range(3):
+            tensor = random_state(sc, rng).as_tensor()
+            vectors = rng.uniform(-PI, PI, size=(2 * n, d))
+            b_psi = _expression_value_and_gradient(tensor, vectors, e)[2]
+            assert b_psi.shape == tensor.shape
+            operator = bell_operator(PhaseConfiguration(sc, vectors), e)
+            assert np.abs(b_psi.ravel() - operator.matrix @ tensor.ravel()).max() < 1e-12
+            for _ in range(4):
+                direction = rng.normal(size=tensor.shape) + 1j * rng.normal(size=tensor.shape)
+                central = (value(tensor + h * direction) - value(tensor - h * direction)) / (2 * h)
+                assert abs(2 * np.vdot(b_psi, direction).real - central) < 1e-8
 
 
 class TestReportedSettings:
@@ -252,6 +274,21 @@ class TestBellOperator:
             state = random_state(sc, rng)
             direct = quantum_bell_value(state, cfg, e)
             assert abs(op.expectation(state) - direct) < 1e-10
+
+    @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (5, 2)])
+    def test_couples_each_basis_state_only_to_its_shifts(self, n, d):
+        # entries lie at (x + m(1, ..., 1), x) mod d with m != 0: the diagonal
+        # and everything between different orbits {x + m(1, ..., 1)} vanish
+        sc = Scenario(n, d)
+        rng = np.random.default_rng(20 * n + d)
+        digits = np.array(list(itertools.product(range(d), repeat=n)))
+        place = d ** np.arange(n - 1, -1, -1)
+        columns = np.arange(sc.dimension)
+        for _ in range(3):
+            matrix = bell_operator(random_config(sc, rng), bell_expression(n, d)).matrix.copy()
+            for m in range(1, d):
+                matrix[((digits + m) % d) @ place, columns] = 0
+            assert np.abs(matrix).max() < 1e-12
 
     def test_reported_phases_witness(self):
         cfg = PhaseConfiguration(Scenario(3, 2), GHZ3_PHASES)

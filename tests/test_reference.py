@@ -14,7 +14,7 @@ from bellbench import (
     bell_value,
     weight_multipartite,
 )
-from bellbench.optimize import OptimizerConfig, seesaw
+from bellbench.optimize import STATE_FAMILIES, OptimizerConfig, seesaw
 from bellbench.polytope import classical_maximum, enumerate_strategies, strategy_table
 from bellbench.quantum import StateVector, ghz_qubit
 from bellbench.reference import (
@@ -129,13 +129,13 @@ class TestQubitGeneralMax:
         rng = np.random.default_rng(4)
         e = bell_expression(3, 2)
         state = relevance_state()
-        from bellbench.reference import _bloch_rows, _correlation_tensor, _tensor_functional
+        from bellbench.reference import _correlation_tensor, _tensor_functional_and_gradient
 
-        tensor = _correlation_tensor(state)
+        tensor = _correlation_tensor(state.amplitudes, state.amplitudes)
         terms = tuple((s, sign) for s, sign in e.terms)
         for _ in range(10):
             angles = rng.uniform(-PI, PI, 12)
-            fast = _tensor_functional(tensor, _bloch_rows(angles), terms)
+            fast = _tensor_functional_and_gradient(tensor, angles, terms)[0]
             table = projector_table(state, BlochSettings.from_angles(angles))
             assert abs(fast - bell_value(e, table)) < 1e-12
 
@@ -143,9 +143,7 @@ class TestQubitGeneralMax:
     def test_gradient_matches_central_differences(self, which):
         from bellbench.reference import (
             _MERMIN_TERMS,
-            _bloch_rows,
             _correlation_tensor,
-            _tensor_functional,
             _tensor_functional_and_gradient,
         )
 
@@ -154,17 +152,43 @@ class TestQubitGeneralMax:
         else:
             terms = tuple((s, sign) for s, sign in bell_expression(3, 2).terms)
         rng = np.random.default_rng(8)
-        tensor = _correlation_tensor(relevance_state())
+        amplitudes = relevance_state().amplitudes
+        tensor = _correlation_tensor(amplitudes, amplitudes)
         h = 1e-6
         for _ in range(5):
             angles = rng.uniform(-PI, PI, 12)
-            value, gradient = _tensor_functional_and_gradient(tensor, angles, terms)
-            assert value == _tensor_functional(tensor, _bloch_rows(angles), terms)
+            gradient = _tensor_functional_and_gradient(tensor, angles, terms)[1]
             for m in range(12):
                 step = np.zeros(12)
                 step[m] = h
-                up = _tensor_functional(tensor, _bloch_rows(angles + step), terms)
-                down = _tensor_functional(tensor, _bloch_rows(angles - step), terms)
+                up = _tensor_functional_and_gradient(tensor, angles + step, terms)[0]
+                down = _tensor_functional_and_gradient(tensor, angles - step, terms)[0]
+                assert abs(gradient[m] - (up - down) / (2 * h)) < 1e-8
+
+    @pytest.mark.parametrize("name", ["ghz_qubit", "w_state"])
+    def test_family_gradient_matches_central_differences(self, name):
+        # family angles first, then the 12 Bloch angles
+        from bellbench.reference import _family_objective
+
+        family = STATE_FAMILIES[name]
+        n_angles = len(family.param_names)
+        e = bell_expression(3, 2)
+        objective_and_gradient = _family_objective(family, tuple(e.terms))
+        rng = np.random.default_rng(9)
+        h = 1e-6
+        for _ in range(5):
+            x = rng.uniform(-PI, PI, n_angles + 12)
+            value, gradient = objective_and_gradient(x)
+            table = projector_table(
+                family.build(x[:n_angles]), BlochSettings.from_angles(x[n_angles:])
+            )
+            assert abs(value - bell_value(e, table)) < 1e-12
+            assert gradient.shape == x.shape
+            for m in range(x.size):
+                step = np.zeros(x.size)
+                step[m] = h
+                up = objective_and_gradient(x + step)[0]
+                down = objective_and_gradient(x - step)[0]
                 assert abs(gradient[m] - (up - down) / (2 * h)) < 1e-8
 
     def test_ghz_value(self):

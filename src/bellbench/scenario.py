@@ -195,8 +195,8 @@ def weight_numerators(
     """Integer numerators (d-1)*weight over all outcome tuples.
 
     Shape (d,)*N with party 1 on axis 0; read-only and cached, since the same
-    array is reused by table evaluation, strategy enumeration, and Bell
-    operator assembly.
+    array is reused by table evaluation, strategy enumeration, and the
+    splitter kernel.
     """
     d = outcomes
     total = np.zeros((d,) * parties, dtype=np.int64)

@@ -300,6 +300,12 @@ class TestMainEntry:
     def test_resource_error_exit(self, capsys):
         assert main(["classical", "--n", "5", "--d", "6", "--budget", "1000"]) == EXIT_RESOURCE
 
+    def test_seesaw_past_the_operator_cap_exits_resource(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["seesaw", "--n", "10", "--d", "3", "--out", str(out)]) == EXIT_RESOURCE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("resource error: ")
+
     def test_unknown_flag_maps_to_domain_exit(self, capsys):
         assert main(["classical", "--n", "3", "--d", "2", "--frobnicate"]) == EXIT_DOMAIN
 

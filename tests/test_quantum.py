@@ -14,11 +14,13 @@ from bellbench import (
     bell_expression,
     bell_value,
 )
+from bellbench.scenario import BIPARTITE_LEGACY, MULTIPARTITE, weight_numerators
 from bellbench.quantum import (
     BellOperator,
     PhaseConfiguration,
     StateVector,
     _expression_value_and_gradient,
+    _orbits,
     beamsplitter_unitary,
     bell_operator,
     ghz_max,
@@ -62,6 +64,37 @@ def random_config(scenario, rng):
         scenario,
         rng.uniform(-PI, PI, size=(2 * scenario.parties, scenario.outcomes)),
     )
+
+
+def dense_bell_operator(config, expression):
+    """Oracle: sum_t sign_t U_t^dagger diag(w_t / (d - 1)) U_t on the full
+    d**N space, U_t the Kronecker product of the term's splitters."""
+    sc = expression.scenario
+    d = sc.outcomes
+    us = config.unitaries()
+    matrix = np.zeros((sc.dimension, sc.dimension), dtype=np.complex128)
+    for settings, sign in expression.terms:
+        u_total = np.ones((1, 1), dtype=np.complex128)
+        for j, s in enumerate(settings):
+            u_total = np.kron(u_total, us[2 * j + (s - 1)])
+        w = weight_numerators(sc.parties, d, expression.family, settings).ravel()
+        matrix += sign * (u_total.conj().T * (w / (d - 1))[None, :]) @ u_total
+    return matrix
+
+
+def embed_blocks(operator):
+    """The block operator as a dense d**N matrix, each block on its orbit."""
+    sc = operator.scenario
+    matrix = np.zeros((sc.dimension, sc.dimension), dtype=np.complex128)
+    for indices, block in zip(_orbits(sc.parties, sc.outcomes)[1], operator.blocks):
+        matrix[np.ix_(indices, indices)] = block
+    return matrix
+
+
+ORACLE_CASES = [
+    (2, 3, MULTIPARTITE), (3, 2, MULTIPARTITE), (3, 3, MULTIPARTITE), (4, 3, MULTIPARTITE),
+    (3, 4, MULTIPARTITE), (5, 2, MULTIPARTITE), (2, 5, MULTIPARTITE), (2, 4, BIPARTITE_LEGACY),
+]
 
 
 class TestBeamsplitter:
@@ -226,8 +259,8 @@ class TestExpressionGradient:
             vectors = rng.uniform(-PI, PI, size=(2 * n, d))
             b_psi = _expression_value_and_gradient(tensor, vectors, e)[2]
             assert b_psi.shape == tensor.shape
-            operator = bell_operator(PhaseConfiguration(sc, vectors), e)
-            assert np.abs(b_psi.ravel() - operator.matrix @ tensor.ravel()).max() < 1e-12
+            dense = dense_bell_operator(PhaseConfiguration(sc, vectors), e)
+            assert np.abs(b_psi.ravel() - dense @ tensor.ravel()).max() < 1e-12
             for _ in range(4):
                 direction = rng.normal(size=tensor.shape) + 1j * rng.normal(size=tensor.shape)
                 central = (value(tensor + h * direction) - value(tensor - h * direction)) / (2 * h)
@@ -261,8 +294,22 @@ class TestBellOperator:
     def test_hermitian(self):
         rng = np.random.default_rng(3)
         sc = Scenario(3, 2)
-        op = bell_operator(random_config(sc, rng), bell_expression(3, 2))
-        assert np.abs(op.matrix - op.matrix.conj().T).max() < 1e-12
+        cfg = random_config(sc, rng)
+        dense = dense_bell_operator(cfg, bell_expression(3, 2))
+        assert np.abs(dense - dense.conj().T).max() < 1e-12
+        blocks = bell_operator(cfg, bell_expression(3, 2)).blocks
+        assert np.abs(blocks - blocks.conj().swapaxes(1, 2)).max() < 1e-12
+
+    @pytest.mark.parametrize("n,d,family", ORACLE_CASES)
+    def test_blocks_match_dense_oracle(self, n, d, family):
+        sc = Scenario(n, d)
+        e = bell_expression(n, d, family)
+        rng = np.random.default_rng(30 * n + d)
+        for _ in range(3):
+            cfg = random_config(sc, rng)
+            op = bell_operator(cfg, e)
+            assert op.blocks.shape == (d ** (n - 1), d, d)
+            assert np.abs(embed_blocks(op) - dense_bell_operator(cfg, e)).max() < 1e-12
 
     def test_expectation_matches_table_route(self):
         rng = np.random.default_rng(4)
@@ -285,7 +332,7 @@ class TestBellOperator:
         place = d ** np.arange(n - 1, -1, -1)
         columns = np.arange(sc.dimension)
         for _ in range(3):
-            matrix = bell_operator(random_config(sc, rng), bell_expression(n, d)).matrix.copy()
+            matrix = dense_bell_operator(random_config(sc, rng), bell_expression(n, d))
             for m in range(1, d):
                 matrix[((digits + m) % d) @ place, columns] = 0
             assert np.abs(matrix).max() < 1e-12
@@ -313,7 +360,7 @@ class TestMaxEigenpair:
         sc = Scenario(2, 2)
         cfg = PhaseConfiguration.zeros(sc)
         e = bell_expression(2, 2)
-        op = BellOperator(sc, 2.5 * np.eye(4, dtype=complex), e, cfg)
+        op = BellOperator(sc, 2.5 * np.array([np.eye(2), np.eye(2)], dtype=complex), e, cfg)
         lam, state = max_eigenpair(op)
         assert abs(lam - 2.5) < 1e-12
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12
@@ -323,7 +370,8 @@ class TestMaxEigenpair:
         sc = Scenario(3, 2)
         op = bell_operator(random_config(sc, rng), bell_expression(3, 2))
         lam, vec = max_eigenpair(op)
-        assert abs(float(np.linalg.norm(op.matrix @ vec.amplitudes - lam * vec.amplitudes))) < 1e-9 * abs(lam) + 1e-30
+        dense = dense_bell_operator(op.config, op.expression)
+        assert abs(float(np.linalg.norm(dense @ vec.amplitudes - lam * vec.amplitudes))) < 1e-9 * abs(lam) + 1e-30
         for _ in range(100):
             assert lam >= op.expectation(random_state(sc, rng)) - 1e-12
 
@@ -331,9 +379,48 @@ class TestMaxEigenpair:
         sc = Scenario(2, 2)
         cfg = PhaseConfiguration.zeros(sc)
         e = bell_expression(2, 2)
-        mat = np.diag([-10.0, 0.5, 0.1, -3.0]).astype(complex)
-        lam, _ = max_eigenpair(BellOperator(sc, mat, e, cfg))
+        blocks = np.array([np.diag([-10.0, 0.5]), np.diag([0.1, -3.0])], dtype=complex)
+        lam, _ = max_eigenpair(BellOperator(sc, blocks, e, cfg))
         assert abs(lam - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("n,d,family", ORACLE_CASES)
+    def test_matches_dense_oracle(self, n, d, family):
+        sc = Scenario(n, d)
+        e = bell_expression(n, d, family)
+        rng = np.random.default_rng(40 * n + d)
+        orbits = _orbits(n, d)[1]
+        for _ in range(3):
+            cfg = random_config(sc, rng)
+            lam, state = max_eigenpair(bell_operator(cfg, e))
+            dense = dense_bell_operator(cfg, e)
+            assert abs(lam - np.linalg.eigvalsh(dense)[-1]) < 1e-12
+            support = set(np.flatnonzero(state.amplitudes))
+            assert any(support <= set(orbit) for orbit in orbits)
+            residual = np.linalg.norm(dense @ state.amplitudes - lam * state.amplitudes)
+            assert residual <= 1e-9 * abs(lam)
+
+    def test_equal_blocks_resolve_to_orbit_zero(self):
+        sc = Scenario(3, 3)
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        blocks = np.array([a + a.conj().T] * 9)
+        op = BellOperator(sc, blocks, bell_expression(3, 3), PhaseConfiguration.zeros(sc))
+        _, state = max_eigenpair(op)
+        assert set(np.flatnonzero(state.amplitudes)) <= set(_orbits(3, 3)[1][0])
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (5, 2), (4, 3)])
+    def test_solves_no_matrix_larger_than_a_block(self, monkeypatch, n, d):
+        shapes = []
+        original = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rng = np.random.default_rng(n + d)
+        max_eigenpair(bell_operator(random_config(Scenario(n, d), rng), bell_expression(n, d)))
+        assert shapes and all(shape == (d, d) for shape in shapes)
 
 
 class TestStateFactories:

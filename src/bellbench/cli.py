@@ -15,7 +15,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import Field, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BellError, DomainError, NumericError, ResourceError
-from .scenario import FAMILIES, MULTIPARTITE, Scenario, bell_expression
+from .scenario import FAMILIES, MULTIPARTITE, BellExpression, Scenario, bell_expression
 from .polytope import DEFAULT_BUDGET, classical_maximum, facet_check, strategy_count
 from .quantum import (
     PhaseConfiguration,
@@ -42,18 +42,6 @@ from .optimize import (
     sweep,
 )
 from .reference import mermin3_max, reduce_to_bipartite
-
-COMMANDS = (
-    "classical",
-    "facet",
-    "violate",
-    "optimize",
-    "seesaw",
-    "sweep",
-    "threshold",
-    "reduce",
-    "mermin",
-)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -168,6 +156,10 @@ def parse_grid(text: str) -> list[tuple[float, ...]]:
 _FIELD_KINDS = {"int": int, "float": numbers.Real, "str": str, "bool": bool}
 
 
+def _field_kind(f: Field) -> type:
+    return _FIELD_KINDS[f.type.removeprefix("Optional[").removesuffix("]")]
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Fully resolved description of one workbench run."""
@@ -192,7 +184,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = _FIELD_KINDS[f.type.removeprefix("Optional[").removesuffix("]")]
+            kind = _field_kind(f)
             if value is None and f.type.startswith("Optional["):
                 continue
             if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
@@ -255,124 +247,130 @@ def _histogram_json(histogram) -> dict:
     return {str(value): count for value, count in histogram.items()}
 
 
-def _run_command(spec: RunSpec) -> tuple[dict, int]:
-    """Execute the run; returns (result payload, iteration count)."""
-    if spec.command == "classical":
-        expr = bell_expression(spec.n, spec.d, spec.family)
-        cm = classical_maximum(expr, budget=spec.budget, threads=spec.threads)
-        return (
-            {
-                "classical_max": str(cm.max_value),
-                "argmax_index": cm.argmax.index,
-                "argmax_assignment": [list(p) for p in cm.argmax.assignment],
-                "histogram": _histogram_json(cm.histogram),
-            },
-            cm.strategy_total,
+def _expression(spec: RunSpec) -> BellExpression:
+    return bell_expression(spec.n, spec.d, spec.family)
+
+
+def _run_classical(spec: RunSpec) -> tuple[dict, int]:
+    cm = classical_maximum(_expression(spec), budget=spec.budget, threads=spec.threads)
+    return (
+        {
+            "classical_max": str(cm.max_value),
+            "argmax_index": cm.argmax.index,
+            "argmax_assignment": [list(p) for p in cm.argmax.assignment],
+            "histogram": _histogram_json(cm.histogram),
+        },
+        cm.strategy_total,
+    )
+
+
+def _run_facet(spec: RunSpec) -> tuple[dict, int]:
+    expr = _expression(spec)
+    report = facet_check(expr, budget=spec.budget, threads=spec.threads)
+    return report.to_json_dict(), strategy_count(expr.scenario)
+
+
+def _run_violate(spec: RunSpec) -> tuple[dict, int]:
+    expr = _expression(spec)
+    state = _state_for(spec, allow_family=False)
+    phases_text = _require(spec, "phases")
+    if phases_text.strip() == "optimize":
+        raise DomainError("violate needs explicit phases; use optimize instead")
+    config = parse_phases(phases_text, expr.scenario)
+    value = quantum_bell_value(state, config, expr)
+    return {"bell_value": value, "noise_threshold": noise_threshold(value) if value > 0 else None}, 1
+
+
+def _run_optimize(spec: RunSpec) -> tuple[dict, int]:
+    expr = _expression(spec)
+    state = _state_for(spec, allow_family=True)
+    config = spec.optimizer_config()
+    if isinstance(state, StateFamily):
+        phases_text = spec.phases or "optimize"
+        fixed = (
+            "free"
+            if phases_text.strip() == "optimize"
+            else parse_phases(phases_text, expr.scenario)
         )
-
-    if spec.command == "facet":
-        expr = bell_expression(spec.n, spec.d, spec.family)
-        report = facet_check(expr, budget=spec.budget, threads=spec.threads)
-        return report.to_json_dict(), strategy_count(expr.scenario)
-
-    if spec.command == "violate":
-        expr = bell_expression(spec.n, spec.d, spec.family)
-        state = _state_for(spec, allow_family=False)
-        phases_text = _require(spec, "phases")
-        if phases_text.strip() == "optimize":
-            raise DomainError("violate needs explicit phases; use optimize instead")
-        config = parse_phases(phases_text, expr.scenario)
-        value = quantum_bell_value(state, config, expr)
-        return {"bell_value": value, "noise_threshold": noise_threshold(value) if value > 0 else None}, 1
-
-    if spec.command == "optimize":
-        expr = bell_expression(spec.n, spec.d, spec.family)
-        state = _state_for(spec, allow_family=True)
-        config = spec.optimizer_config()
-        if isinstance(state, StateFamily):
-            phases_text = spec.phases or "optimize"
-            fixed = (
-                "free"
-                if phases_text.strip() == "optimize"
-                else parse_phases(phases_text, expr.scenario)
+        result = optimize_state_family(state, expr, config, phases=fixed, threads=spec.threads)
+    else:
+        if spec.phases not in (None, "optimize"):
+            raise DomainError(
+                "optimize with a concrete state optimizes the phases; "
+                "fixed phases belong to the violate command"
             )
-            result = optimize_state_family(
-                state, expr, config, phases=fixed, threads=spec.threads
-            )
-        else:
-            if spec.phases not in (None, "optimize"):
-                raise DomainError(
-                    "optimize with a concrete state optimizes the phases; "
-                    "fixed phases belong to the violate command"
-                )
-            result = optimize_phases(state, expr, config, threads=spec.threads)
-        return result.to_json_dict(), result.evaluations
+        result = optimize_phases(state, expr, config, threads=spec.threads)
+    return result.to_json_dict(), result.evaluations
 
-    if spec.command == "seesaw":
-        expr = bell_expression(spec.n, spec.d, spec.family)
-        result = seesaw(expr, spec.optimizer_config(), threads=spec.threads)
-        return result.to_json_dict(), result.evaluations
 
-    if spec.command == "sweep":
-        expr = bell_expression(spec.n, spec.d, spec.family)
-        state = _state_for(spec, allow_family=True)
-        if not isinstance(state, StateFamily):
-            raise DomainError("sweep needs a state family, not a concrete state")
-        points = parse_grid(_require(spec, "grid"))
-        rows = sweep(
-            state, points, expr, spec.optimizer_config(), threads=spec.threads
-        )
-        payload = {
-            "param_names": list(state.param_names),
-            "rows": [
-                {
-                    "parameters": list(r.parameters),
-                    "best_value": r.best_value,
-                    "converged": r.converged,
-                }
-                for r in rows
-            ],
-        }
-        return payload, len(rows)
+def _run_seesaw(spec: RunSpec) -> tuple[dict, int]:
+    result = seesaw(_expression(spec), spec.optimizer_config(), threads=spec.threads)
+    return result.to_json_dict(), result.evaluations
 
-    if spec.command == "threshold":
-        violation = _require(spec, "violation")
-        return {"f_thr": noise_threshold(float(violation))}, 1
 
-    if spec.command == "reduce":
-        expr = bell_expression(spec.n, spec.d, spec.family)
-        reduced = reduce_to_bipartite(expr)
-        cm = classical_maximum(reduced, budget=spec.budget, threads=spec.threads)
-        return (
-            {
-                "n": reduced.scenario.parties,
-                "d": reduced.scenario.outcomes,
-                "family": reduced.family,
-                "terms": [
-                    ["".join(map(str, settings)), sign]
-                    for settings, sign in reduced.terms
-                ],
-                "classical_max": str(cm.max_value),
-            },
-            cm.strategy_total,
-        )
+def _run_sweep(spec: RunSpec) -> tuple[dict, int]:
+    expr = _expression(spec)
+    state = _state_for(spec, allow_family=True)
+    if not isinstance(state, StateFamily):
+        raise DomainError("sweep needs a state family, not a concrete state")
+    points = parse_grid(_require(spec, "grid"))
+    rows = sweep(state, points, expr, spec.optimizer_config(), threads=spec.threads)
+    payload = {
+        "param_names": list(state.param_names),
+        "rows": [
+            {"parameters": list(r.parameters), "best_value": r.best_value, "converged": r.converged}
+            for r in rows
+        ],
+    }
+    return payload, len(rows)
 
-    if spec.command == "mermin":
-        scenario = Scenario(3, 2)
-        descriptor = _require(spec, "state")
-        state = parse_state(descriptor, scenario)
-        if isinstance(state, StateFamily):
-            raise DomainError("mermin needs a concrete three-qubit state")
-        value = mermin3_max(state, spec.optimizer_config(), threads=spec.threads)
-        return {"mermin_max": value}, spec.starts
 
-    raise DomainError(f"unknown command {spec.command!r}")
+def _run_threshold(spec: RunSpec) -> tuple[dict, int]:
+    return {"f_thr": noise_threshold(float(_require(spec, "violation")))}, 1
+
+
+def _run_reduce(spec: RunSpec) -> tuple[dict, int]:
+    reduced = reduce_to_bipartite(_expression(spec))
+    cm = classical_maximum(reduced, budget=spec.budget, threads=spec.threads)
+    return (
+        {
+            "n": reduced.scenario.parties,
+            "d": reduced.scenario.outcomes,
+            "family": reduced.family,
+            "terms": [["".join(map(str, settings)), sign] for settings, sign in reduced.terms],
+            "classical_max": str(cm.max_value),
+        },
+        cm.strategy_total,
+    )
+
+
+def _run_mermin(spec: RunSpec) -> tuple[dict, int]:
+    state = parse_state(_require(spec, "state"), Scenario(3, 2))
+    if isinstance(state, StateFamily):
+        raise DomainError("mermin needs a concrete three-qubit state")
+    value = mermin3_max(state, spec.optimizer_config(), threads=spec.threads)
+    return {"mermin_max": value}, spec.starts
+
+
+# Each command's handler returns (result payload, iteration count).
+_HANDLERS = {
+    "classical": _run_classical,
+    "facet": _run_facet,
+    "violate": _run_violate,
+    "optimize": _run_optimize,
+    "seesaw": _run_seesaw,
+    "sweep": _run_sweep,
+    "threshold": _run_threshold,
+    "reduce": _run_reduce,
+    "mermin": _run_mermin,
+}
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(spec: RunSpec) -> dict:
     """Execute a run spec and wrap the payload in the report envelope."""
     started = time.perf_counter()
-    payload, iterations = _run_command(spec)
+    payload, iterations = _HANDLERS[spec.command](spec)
     elapsed_ms = int(round((time.perf_counter() - started) * 1000))
     diagnostics = {
         "runtime_ms": 0 if spec.no_timestamp else elapsed_ms,
@@ -400,27 +398,21 @@ def render_report(spec: RunSpec, report: dict) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The command, --config, and one flag per RunSpec field after command."""
     parser = argparse.ArgumentParser(
         prog="bellbench",
         description="Workbench for two-setting N-qudit correlation Bell inequalities.",
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS)
     parser.add_argument("--config", type=Path, help="JSON run-spec file")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--family", choices=FAMILIES)
-    parser.add_argument("--state")
-    parser.add_argument("--phases")
-    parser.add_argument("--violation", type=float)
-    parser.add_argument("--grid")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--starts", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--budget", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--format", choices=("json", "csv"))
-    parser.add_argument("--no-timestamp", action="store_true", default=None)
+    choices = {"family": FAMILIES, "format": ("json", "csv")}
+    for f in fields(RunSpec)[1:]:
+        flag, kind = "--" + f.name.replace("_", "-"), _field_kind(f)
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", default=None)
+        else:
+            convert = float if kind is numbers.Real else kind
+            parser.add_argument(flag, type=convert, choices=choices.get(f.name))
     return parser
 
 

@@ -8,11 +8,10 @@ basis state.  Everything runs in complex double precision on dense arrays.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,8 +21,8 @@ from .scenario import (
     ProbabilityTable,
     Scenario,
     SettingsTuple,
+    bell_expression,
     modular_sign,
-    weight_numerators,
 )
 
 OPERATOR_DIMENSION_CAP = 10**4
@@ -191,42 +190,6 @@ def joint_probabilities(
     return ProbabilityTable(sc, blocks, validate=False)
 
 
-def _expression_value_and_gradient(
-    state_tensor: np.ndarray,
-    vectors: Sequence[np.ndarray],
-    expression: BellExpression,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Bell value, its gradient in every phase, shape (2N, d), and B psi.
-
-    The splitter depends on phase l only through its column l, so moving
-    phi_l of party j multiplies the amplitudes with x_j = l by i before the
-    splitters act.  With A = (U1 x ... x UN) psi and Y = (U1+ x ... x UN+)(w A),
-    a term's derivative is -2 Im sum_{x: x_j = l} conj(Y[x]) psi[x].  The
-    signed sum of the Y over the terms, over d - 1, is B psi for the Bell
-    operator B, shaped like state_tensor: a change dpsi of the state moves
-    the value by 2 Re <B psi, dpsi>.
-    """
-    sc = expression.scenario
-    n, d = sc.parties, sc.outcomes
-    unitaries = [beamsplitter_unitary(v, d) for v in vectors]
-    total = 0.0
-    gradient = np.zeros((2 * n, d))
-    b_psi = np.zeros(state_tensor.shape, dtype=np.complex128)
-    for settings, sign in expression.terms:
-        w = weight_numerators(n, d, expression.family, settings)
-        chosen = [unitaries[2 * j + (s - 1)] for j, s in enumerate(settings)]
-        amp = _apply_party_unitaries(state_tensor, chosen)
-        block = np.abs(amp) ** 2
-        total += sign * float(np.dot(w.ravel(), block.ravel()))
-        back = _apply_party_unitaries(w * amp, [u.conj().T for u in chosen])
-        b_psi += sign * back
-        overlap = (np.conj(back) * state_tensor).imag
-        for j, s in enumerate(settings):
-            marginal = overlap.reshape(d**j, d, -1).sum(axis=(0, 2))
-            gradient[2 * j + (s - 1)] -= (2 * sign) * marginal
-    return total / (d - 1), gradient / (d - 1), b_psi / (d - 1)
-
-
 def quantum_bell_value(
     state: StateVector,
     config: PhaseConfiguration,
@@ -257,6 +220,76 @@ def _orbits(parties: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, flat
 
 
+@lru_cache(maxsize=None)
+def _orbit_terms(
+    parties: int, d: int, family: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical expression's terms on the orbits: (coupling, index, flat).
+
+    On orbit o, term t acts as diag(conj(e)) coupling[t] diag(e) with
+    e[a] = exp(i sum_j phi[index[t, o, a, j]]), phi the (2N, d) phase array
+    flattened, so index[t, o, a, j] picks party j's vector for the term's
+    setting at the orbit's digit j.  coupling[t, a, b] = sign_t
+    g[sigma_t (a - b) mod d] / (d - 1), with sigma_t the term's modular sign
+    and g[q] = (1/d) sum_c ((d-1) - 2c) omega**(-qc); g[0] = 0, so the
+    diagonal vanishes.  flat is _orbits' flat indices.  The operator and
+    every splitter search read these tables, so both stop here past
+    OPERATOR_DIMENSION_CAP.
+    """
+    if d**parties > OPERATOR_DIMENSION_CAP:
+        raise ResourceError(
+            f"operator dimension {d**parties} exceeds cap {OPERATOR_DIMENSION_CAP}"
+        )
+    terms = bell_expression(parties, d, family).terms
+    g = np.fft.fft(d - 1 - 2 * np.arange(d)) / d
+    shift = np.arange(d)[:, None] - np.arange(d)
+    coupling = np.array(
+        [sign * g[modular_sign(t, family) * shift % d] for t, sign in terms]
+    ) / (d - 1)
+    rows = np.array([[2 * j + s - 1 for j, s in enumerate(t)] for t, _ in terms])
+    digits, flat = _orbits(parties, d)
+    index = rows[:, None, None, :] * d + digits
+    for table in (coupling, index):
+        table.setflags(write=False)
+    return coupling, index, flat
+
+
+def _phase_factors(index: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """e[t, o, a] of _orbit_terms for the 2N phase vectors."""
+    return np.exp(1j * np.asarray(vectors, dtype=float).reshape(-1)[index].sum(axis=-1))
+
+
+def _expression_value_and_gradient(
+    state_tensor: np.ndarray,
+    vectors: Sequence[np.ndarray],
+    expression: BellExpression,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Bell value, its gradient in every phase, shape (2N, d), and B psi.
+
+    With u = e_t * psi_o on each orbit (see _orbit_terms), the value is
+    sum_t u+ C_t u.  Moving phase k multiplies u[a] by i once per party j
+    with index[t, o, a, j] = k, so its derivative sums 2 Im(conj(u) C_t u)
+    over those entries.  B psi = sum_t conj(e_t) C_t u on each orbit, shaped
+    like state_tensor: a change dpsi of the state moves the value by
+    2 Re <B psi, dpsi>.
+    """
+    sc = expression.scenario
+    coupling, index, flat = _orbit_terms(sc.parties, sc.outcomes, expression.family)
+    e = _phase_factors(index, vectors)
+    u = e * state_tensor.reshape(-1)[flat]
+    cu = u @ coupling.swapaxes(1, 2)
+    overlap = u.conj() * cu
+    weights = np.broadcast_to(2 * overlap.imag[..., None], index.shape)
+    gradient = np.bincount(index.ravel(), weights.ravel(), minlength=2 * sc.parties * sc.outcomes)
+    b_psi = np.empty(sc.dimension, dtype=np.complex128)
+    b_psi[flat] = np.einsum("toa,toa->oa", e.conj(), cu)
+    return (
+        float(overlap.real.sum()),
+        gradient.reshape(-1, sc.outcomes),
+        b_psi.reshape(state_tensor.shape),
+    )
+
+
 @dataclass(frozen=True)
 class BellOperator:
     """Hermitian operator whose expectation equals the Bell value, held as
@@ -274,10 +307,6 @@ class BellOperator:
         if float(np.abs(b - b.conj().swapaxes(1, 2)).max()) > 1e-12:
             raise DomainError("operator is not Hermitian within 1e-12")
 
-    def expectation(self, state: StateVector) -> float:
-        psi = state.amplitudes[_orbits(self.scenario.parties, self.scenario.outcomes)[1]]
-        return float(np.einsum("oa,oab,ob->", psi.conj(), self.blocks, psi).real)
-
 
 def bell_operator(
     config: PhaseConfiguration, expression: BellExpression
@@ -285,26 +314,15 @@ def bell_operator(
     """Assemble the Bell operator's orbit blocks for fixed splitter settings.
 
     B couples |x> only to |x - m1>: B[x, x - m1] = (1/(d-1)) sum_t sign_t
-    g[sigma_t m mod d] exp(i sum_j (phi_{j,s_j}[x_j - m] - phi_{j,s_j}[x_j]))
-    with sigma_t the term's modular sign and g[q] = (1/d) sum_c ((d-1) - 2c)
-    omega**(-qc).  g[0] = 0, so the diagonal vanishes.
+    g[sigma_t m mod d] exp(i sum_j (phi_{j,s_j}[x_j - m] - phi_{j,s_j}[x_j])),
+    one sum over the terms of _orbit_terms.
     """
     sc = expression.scenario
     if config.scenario != sc:
         raise DomainError("phase configuration scenario does not match")
-    if sc.dimension > OPERATOR_DIMENSION_CAP:
-        raise ResourceError(
-            f"operator dimension {sc.dimension} exceeds cap {OPERATOR_DIMENSION_CAP}"
-        )
-    d, terms, family = sc.outcomes, expression.terms, expression.family
-    g = np.fft.fft(d - 1 - 2 * np.arange(d)) / d
-    shift = np.arange(d)[:, None] - np.arange(d)
-    coupling = np.array([sign * g[modular_sign(t, family) * shift % d] for t, sign in terms])
-    rows = np.array([[2 * j + s - 1 for j, s in enumerate(t)] for t, _ in terms])
-    # e[t, o, a] = exp(i sum_j phi_{j,s_j}[digit j of orbit o at position a])
-    phases = np.asarray(config.vectors)[rows[:, None, None, :], _orbits(sc.parties, d)[0]]
-    e = np.exp(1j * phases.sum(axis=-1))
-    blocks = np.einsum("tab,toa,tob->oab", coupling, e.conj(), e) / (d - 1)
+    coupling, index, _ = _orbit_terms(sc.parties, sc.outcomes, expression.family)
+    e = _phase_factors(index, config.vectors)
+    blocks = np.einsum("tab,toa,tob->oab", coupling, e.conj(), e)
     blocks.setflags(write=False)
     return BellOperator(sc, blocks, expression, config)
 
@@ -390,20 +408,3 @@ def noisy_table(table: ProbabilityTable, noise_fraction: float) -> ProbabilityTa
         raise DomainError(f"noise fraction {noise_fraction} outside [0, 1]")
     uniform = ProbabilityTable.uniform(table.scenario)
     return ProbabilityTable.mix(table, uniform, 1.0 - noise_fraction)
-
-
-def table_to_csv(table: ProbabilityTable, stream: IO[str]) -> None:
-    """Write (settings-tuple, outcome-tuple, probability) rows."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["settings", "outcomes", "probability"])
-    sc = table.scenario
-    for settings in sc.settings_tuples():
-        block = table.blocks[settings]
-        for outcomes in sc.outcome_tuples():
-            writer.writerow(
-                [
-                    "-".join(map(str, settings)),
-                    "-".join(map(str, outcomes)),
-                    repr(float(block[outcomes])),
-                ]
-            )

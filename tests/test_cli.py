@@ -301,10 +301,15 @@ class TestMainEntry:
         assert main(["classical", "--n", "5", "--d", "6", "--budget", "1000"]) == EXIT_RESOURCE
 
     def test_seesaw_past_the_operator_cap_exits_resource(self, tmp_path, capsys):
+        # the cap guards the phase search on a fixed state as well
         out = tmp_path / "report.json"
-        assert main(["seesaw", "--n", "10", "--d", "3", "--out", str(out)]) == EXIT_RESOURCE
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith("resource error: ")
+        for argv in (
+            ["seesaw", "--n", "10", "--d", "3"],
+            ["optimize", "--n", "12", "--d", "3", "--state", "ghz_max", "--starts", "1"],
+        ):
+            assert main([*argv, "--out", str(out)]) == EXIT_RESOURCE
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("resource error: ")
 
     def test_unknown_flag_maps_to_domain_exit(self, capsys):
         assert main(["classical", "--n", "3", "--d", "2", "--frobnicate"]) == EXIT_DOMAIN

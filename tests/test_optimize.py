@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bellbench.quantum
 import bellbench.scenario
-from bellbench import DomainError, bell_expression, optimize
+from bellbench import DomainError, Scenario, bell_expression, optimize
 from bellbench.optimize import (
     STATE_FAMILIES,
     OptimizerConfig,
@@ -21,6 +22,7 @@ from bellbench.optimize import (
 )
 from bellbench.quantum import (
     PhaseConfiguration,
+    StateVector,
     bell_operator,
     ghz_qubit,
     ghz_qutrit,
@@ -112,7 +114,7 @@ class TestOptimizePhases:
 
     def test_converged_starts_counts_every_start(self):
         # the best start stops at the iteration cap while four others converge
-        config = OptimizerConfig(starts=8, seed=8, max_iterations=18)
+        config = OptimizerConfig(starts=8, seed=8, max_iterations=11)
         result = optimize_phases(ghz_qubit(0.6), bell_expression(3, 2), config)
         assert not result.converged
         assert result.converged_starts == 4
@@ -352,6 +354,39 @@ class TestMultistartContract:
         )
         assert best is per_start[0]
         assert np.array_equal(best[0], np.zeros(2)) and best[4] == "extra"
+
+
+def ghz4_qubit(angles):
+    """cos(theta)|0000> + sin(theta)|1111>."""
+    amps = np.zeros(16)
+    amps[0], amps[15] = np.cos(angles[0]), np.sin(angles[0])
+    return StateVector(Scenario(4, 2), amps)
+
+
+class TestOneSplitterRoute:
+    @pytest.mark.parametrize(
+        "family",
+        [STATE_FAMILIES["ghz_qutrit"], StateFamily("ghz4", ("theta",), Scenario(4, 2), ghz4_qubit)],
+        ids=["3-3", "4-2"],
+    )
+    def test_searches_never_reach_the_tensor_route(self, monkeypatch, family):
+        # the probability-table route (weights times splitter passes) is the
+        # oracle and the violate path; every search runs on the orbit kernel
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a search reached the tensor route")
+
+        monkeypatch.setattr(bellbench.scenario, "weight_numerators", forbidden)
+        monkeypatch.setattr(bellbench.quantum, "_apply_party_unitaries", forbidden)
+        sc = family.scenario
+        e = bell_expression(sc.parties, sc.outcomes)
+        config = OptimizerConfig(starts=2, seed=1)
+        state = family.build(np.full(len(family.param_names), PI / 5))
+        for result in (
+            optimize_phases(state, e, config),
+            seesaw(e, config),
+            optimize_state_family(family, e, config),
+        ):
+            assert result.best_value > 2
 
 
 class TestTracedNames:

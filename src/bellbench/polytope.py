@@ -2,7 +2,9 @@
 
 Strategies are enumerated in mixed-radix index order (party 1 / setting 1
 least significant) so the work can be partitioned into contiguous index
-ranges whose partial results merge deterministically.  All classical values
+ranges whose partial results merge deterministically.  Only two-party
+maxima are scanned in chunks: for N > 2 the value spectrum is the (2,d)
+one scaled by d**(2N-4) (see classical_maximum).  All classical values
 are exact rationals.  The facet rank is certified exactly by a rank modulo a
 prime, with an exact integer rank as the fallback for deficient ranks.
 """
@@ -23,6 +25,7 @@ from .scenario import (
     ProbabilityTable,
     Scenario,
     SettingsTuple,
+    bell_expression,
     modular_sign,
 )
 
@@ -172,18 +175,29 @@ def classical_maximum(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> ClassicalMaximum:
-    """Exhaustive exact maximum of the expression over local strategies.
+    """Exact maximum of the expression over local strategies, with its spectrum.
 
-    Partial results over index ranges merge associatively (max with
+    For N > 2, with X, Y the sums of the setting-1 and setting-2 outcomes of
+    the even-numbered parties (counting from 0) and Z, W those of the odd
+    ones, the four terms' outcome sums are X+Z, X+W, Y+Z and Y+W: those of
+    the (2,d) member at strategy (X, Y, Z, W), with the same signs.  That map
+    is d**(2N-4)-to-one onto Z_d**4, and it sends every index below d**4 to
+    itself, so the (2,d) scan gives the histogram (counts scaled), the
+    maximum and the lowest-index argmax (padded with zeros) exactly.
+
+    Scanned partial results over index ranges merge associatively (max with
     lowest-index tie break, histogram addition), so the output does not
     depend on chunking or thread count.
     """
     sc = expression.scenario
-    total = _check_budget(sc, budget)
+    _check_budget(sc, budget)
     d = sc.outcomes
+    scanned = expression if sc.parties == 2 else bell_expression(2, d)
+    total = strategy_count(scanned.scenario)
+    scale = d ** (2 * sc.parties - 4)
 
     def work(lo: int):
-        nums = _value_numerators(expression, lo, min(lo + _CHUNK, total))
+        nums = _value_numerators(scanned, lo, min(lo + _CHUNK, total))
         k = int(np.argmax(nums))
         values, counts = np.unique(nums, return_counts=True)
         return int(nums[k]), lo + k, values, counts
@@ -196,7 +210,7 @@ def classical_maximum(
             best_num, best_idx = num, idx
         for v, c in zip(values.tolist(), counts.tolist()):
             hist[v] = hist.get(v, 0) + c
-    histogram = {Fraction(v, d - 1): c for v, c in sorted(hist.items())}
+    histogram = {Fraction(v, d - 1): c * scale for v, c in sorted(hist.items())}
     return ClassicalMaximum(
         expression,
         Fraction(best_num, d - 1),

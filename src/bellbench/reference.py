@@ -250,7 +250,10 @@ def reduce_to_bipartite(expression: BellExpression) -> BellExpression:
     Fixing the third outcome to 0 removes it from every modular sum while
     each term keeps the parity of its full settings product, which is
     exactly the two-party member of the multipartite family (the CGLMP-
-    equivalent form); its deterministic-strategy maximum is again 2.
+    equivalent form); its deterministic-strategy maximum is again 2.  The
+    exact form of this reduction, for every N > 2, is the even/odd party
+    sum map in polytope.classical_maximum: the N-party value spectrum is
+    this member's with every count scaled by d**(2N-4).
     """
     if expression.scenario.parties != 3 or expression.family != MULTIPARTITE:
         raise DomainError("reduction is defined for the three-party multipartite form")

@@ -297,6 +297,16 @@ class TestMainEntry:
         assert main(["classical", "--n", "3", "--d", "1"]) == EXIT_DOMAIN
         assert "error" in capsys.readouterr().err
 
+    def test_eight_qutrit_classical_report(self, tmp_path):
+        # 3**16 strategies, reported from the two-party scan
+        out = tmp_path / "report.json"
+        argv = ["classical", "--n", "8", "--d", "3", "--no-timestamp", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        result = json.loads(out.read_text())["result"]
+        assert result["classical_max"] == "2"
+        assert result["argmax_index"] == 0
+        assert sum(result["histogram"].values()) == 3**16
+
     def test_resource_error_exit(self, capsys):
         assert main(["classical", "--n", "5", "--d", "6", "--budget", "1000"]) == EXIT_RESOURCE
 

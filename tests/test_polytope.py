@@ -176,12 +176,43 @@ class TestClassicalMaximum:
                 assert num == value * (d - 1)
 
     def test_threads_do_not_change_result(self):
-        e = bell_expression(3, 3)
-        a = classical_maximum(e, threads=1)
-        b = classical_maximum(e, threads=4)
-        assert a.max_value == b.max_value
-        assert a.argmax == b.argmax
-        assert a.histogram == b.histogram
+        # (2, 20) has 160 000 strategies, so its scan spans three chunks
+        for e in (bell_expression(3, 3), bell_expression(2, 20)):
+            a = classical_maximum(e, threads=1)
+            b = classical_maximum(e, threads=4)
+            assert a.max_value == b.max_value
+            assert a.argmax == b.argmax
+            assert a.histogram == b.histogram
+
+    @pytest.mark.parametrize(
+        "n,d", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (3, 4), (6, 2), (5, 3)]
+    )
+    def test_reduction_to_two_parties_matches_full_scan(self, n, d):
+        e = bell_expression(n, d)
+        nums = polytope._value_numerators(e, 0, d ** (2 * n))
+        values, counts = np.unique(nums, return_counts=True)
+        cm = classical_maximum(e)
+        assert cm.histogram == {
+            Fraction(v, d - 1): c for v, c in zip(values.tolist(), counts.tolist())
+        }
+        assert cm.max_value == Fraction(int(nums.max()), d - 1)
+        full_argmax = DeterministicStrategy.from_index(e.scenario, int(np.argmax(nums)))
+        assert cm.argmax.index == full_argmax.index
+        assert cm.argmax.assignment == full_argmax.assignment
+
+    @pytest.mark.parametrize("n,d", [(7, 3), (5, 4)])
+    def test_many_party_maximum_scans_only_two_party_strategies(self, n, d, monkeypatch):
+        ranges = []
+        original = polytope._value_numerators
+
+        def spy(expression, lo, hi):
+            ranges.append((lo, hi))
+            return original(expression, lo, hi)
+
+        monkeypatch.setattr(polytope, "_value_numerators", spy)
+        cm = classical_maximum(bell_expression(n, d))
+        assert sum(hi - lo for lo, hi in ranges) == d**4
+        assert sum(cm.histogram.values()) == cm.strategy_total == d ** (2 * n)
 
 
 class TestCgVector:

@@ -5,8 +5,9 @@ least significant) so the work can be partitioned into contiguous index
 ranges whose partial results merge deterministically.  Only two-party
 maxima are scanned in chunks: for N > 2 the value spectrum is the (2,d)
 one scaled by d**(2N-4) (see classical_maximum).  All classical values
-are exact rationals.  The facet rank is certified exactly by a rank modulo a
-prime, with an exact integer rank as the fallback for deficient ranks.
+are exact rationals.  The facet rank is certified exactly modulo a prime,
+one coset block of character sums at a time (see _affine_rank), with an
+exact integer rank as the fallback for deficient ranks.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -31,10 +33,7 @@ from .scenario import (
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 16
-_GRAM_ROWS = 512
-# Primes below 2**21: with panels of at most 64 columns, every sum of products
-# of residues stays below 2**48, which _reduce_mod reduces exactly.
-_PRIMES = (2097143, 2097133)
+_ROW_BLOCK = 512
 _PANEL = 32
 
 
@@ -156,6 +155,12 @@ def _value_numerators(expression: BellExpression, lo: int, hi: int) -> np.ndarra
     return nums
 
 
+def _two_party_member(expression: BellExpression) -> BellExpression:
+    """The expression itself at N = 2, else the (2,d) member (see classical_maximum)."""
+    sc = expression.scenario
+    return expression if sc.parties == 2 else bell_expression(2, sc.outcomes)
+
+
 @dataclass(frozen=True)
 class ClassicalMaximum:
     """Exact maximum over deterministic strategies plus the value spectrum."""
@@ -192,7 +197,7 @@ def classical_maximum(
     sc = expression.scenario
     _check_budget(sc, budget)
     d = sc.outcomes
-    scanned = expression if sc.parties == 2 else bell_expression(2, d)
+    scanned = _two_party_member(expression)
     total = strategy_count(scanned.scenario)
     scale = d ** (2 * sc.parties - 4)
 
@@ -387,7 +392,7 @@ def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def modular_rank(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of an integer matrix, for a prime p < 2**21.
+    """Rank over GF(p) of an integer matrix, for a prime p < 2**21 (see _primes).
 
     Right-looking blocked LU on residues held in float64.  Each panel of at
     most _PANEL columns is eliminated with row pivoting; multipliers are
@@ -437,30 +442,14 @@ def _saturating_blocks(
 ) -> Iterator[np.ndarray]:
     """Indices of the strategies scoring target_num / (d-1), in index order.
 
-    Yielded in blocks of at most _GRAM_ROWS, so a caller building their CG
+    Yielded in blocks of at most _ROW_BLOCK, so a caller building their CG
     rows never holds more than one block of them.
     """
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         hits = np.nonzero(_value_numerators(expression, lo, hi) == target_num)[0] + lo
-        for k in range(0, hits.size, _GRAM_ROWS):
-            yield hits[k : k + _GRAM_ROWS]
-
-
-def _saturating_gram(
-    expression: BellExpression, target_num: int, total: int
-) -> np.ndarray:
-    """G = M^T M for the CG rows M of the saturating strategies.
-
-    Entries are integers at most the saturating count, exact in float64.
-    """
-    sc = expression.scenario
-    size = polytope_dimension(sc) + 1
-    gram = np.zeros((size, size))
-    for block in _saturating_blocks(expression, target_num, total):
-        rows = _cg_matrix(sc, block).astype(np.float64)
-        gram += rows.T @ rows
-    return gram
+        for k in range(0, hits.size, _ROW_BLOCK):
+            yield hits[k : k + _ROW_BLOCK]
 
 
 def _streamed_affine_rank(
@@ -488,21 +477,90 @@ def _streamed_affine_rank(
     return acc.rank
 
 
+@lru_cache(maxsize=None)
+def _primes(d: int) -> tuple[int, int]:
+    """The two largest primes p < 2**21, where modular_rank is exact (its sums
+    of products stay below 2**48), with p = 1 (mod d), so GF(p) has w**d = 1.
+    """
+    top = (2**21 - 2) // d * d + 1
+    primes = (p for p in range(top, 2, -d) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+    return next(primes), next(primes)
+
+
+def _unit_root(p: int, d: int) -> int:
+    """A primitive d-th root of unity in GF(p), for a prime p = 1 (mod d)."""
+    for x in range(2, p):
+        w = pow(x, (p - 1) // d, p)
+        if len({pow(w, k, p) for k in range(d)}) == d:
+            return w
+
+
+def _saturating_indicator(expression: BellExpression, target_num: int) -> np.ndarray:
+    """The (2,d) saturating set S as 0/1, shaped (d,) * 4 in strategy index order."""
+    d = expression.scenario.outcomes
+    indicator = np.zeros(d**4, dtype=np.int64)
+    for hits in _saturating_blocks(_two_party_member(expression), target_num, d**4):
+        indicator[hits] = 1
+    return indicator.reshape((d,) * 4)
+
+
+def _character_blocks(
+    indicator: np.ndarray, parties: int, p: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, cols, block) for each coset C of im(phi^T) among the frequencies.
+
+    A frequency f has one pair (k1, k2), at most one nonzero, per party; they
+    are numbered in CG coordinate order.  rows lists those in C, cols those
+    in -C, and block[i, j] is the sum of w**<kappa, t> over the t in S that
+    indicator marks, mod p, with kappa = rows[i] + cols[j] on parties 0, 1.
+    """
+    d = indicator.shape[0]
+    w = _unit_root(p, d)
+    dft = np.array([pow(w, k, p) for k in range(d)])[np.outer(range(d), range(d)) % d]
+    # Separable DFT over the four axes; each contraction stays below 2**63.
+    shat = indicator
+    for _ in range(4):
+        shat = np.tensordot(shat, dft, axes=([0], [1])) % p
+    shat = shat.ravel()
+
+    ks, zeros = np.arange(1, d), np.zeros(d - 1, dtype=np.int64)
+    pairs = np.vstack([[0, 0], np.column_stack([ks, zeros]), np.column_stack([zeros, ks])])
+    pair_sum = ((pairs[:, None, :] + pairs[None, :, :]) % d) @ [1, d]
+    party = np.indices((2 * d - 1,) * parties).reshape(parties, -1)
+    # im(phi^T) holds the vectors constant on the even and on the odd parties,
+    # so a coset is fixed by each later party's offset from party 0 or 1.
+    freq = pairs[party]
+    diff = (freq[2:] - freq[np.arange(2, parties) % 2]) % d
+    diff = diff.transpose(1, 0, 2).reshape(party.shape[1], -1)
+    weights = d ** np.arange(diff.shape[1], dtype=np.int64)
+    key, neg = diff @ weights, (-diff % d) @ weights
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    cosets = dict(zip(keys.tolist(), np.split(order, starts[1:])))
+    for rows in cosets.values():
+        cols = cosets[int(neg[rows[0]])]
+        kappa = [pair_sum[party[j][rows][:, None], party[j][cols]] for j in (0, 1)]
+        yield rows, cols, shat[kappa[0] + d * d * kappa[1]]
+
+
 def _affine_rank(expression: BellExpression, target_num: int, total: int) -> int:
     """Affine rank of the saturating vertices, capped at D - 1.
 
-    The CG rows M have a constant first coordinate, so the affine rank is
-    rank(M) - 1.  For a prime p, rank_p(M^T M) <= rank(M^T M) = rank(M).
-    Every expression takes more than one value on the vertices, so
-    value - bound is a nonzero functional vanishing on every row of M and
-    rank(M) <= D.  A modular rank of D therefore certifies affine rank D - 1
-    exactly.  A deficient modular rank under both primes falls back to the
-    exact integer stream.
+    With CG rows M (first coordinate 1), it is rank(M) - 1 >= rank_p(M^T M) - 1.
+    A per-party change of basis, invertible mod p, sends row s to the
+    characters w**<f, s>; the saturating set is phi^-1(S) (classical_maximum),
+    so M^T M becomes d**(2N-4) * S^(kappa) at f + g = phi^T kappa, else 0: one
+    block per coset (_character_blocks).  value - bound, nonzero as no
+    expression is constant on the vertices, vanishes on every row, so
+    rank(M) <= D and a block-rank sum of D certifies D - 1 exactly.  A
+    deficient sum under both primes falls back to the exact integer stream.
     """
-    dim = polytope_dimension(expression.scenario)
-    gram = _saturating_gram(expression, target_num, total)
-    for p in _PRIMES:
-        rank = modular_rank(gram, p)
+    sc = expression.scenario
+    dim = polytope_dimension(sc)
+    indicator = _saturating_indicator(expression, target_num)
+    for p in _primes(sc.outcomes):
+        blocks = _character_blocks(indicator, sc.parties, p)
+        rank = sum(modular_rank(block, p) for _, _, block in blocks)
         if rank > dim:
             raise NumericError(f"modular rank {rank} exceeds the bound {dim} on a face")
         if rank == dim:
@@ -518,8 +576,9 @@ def facet_check(
     """Certify tightness: exact classical max plus exact affine rank.
 
     The affine rank of the saturating vertices (Bell value equal to the
-    bound) comes from a modular rank of their Gram matrix, with an exact
-    integer fallback when that rank is deficient (see _affine_rank).  A
+    bound) comes from modular ranks of the character blocks of their Gram
+    matrix, with an exact integer fallback when that rank is deficient (see
+    _affine_rank).  A
     bound that is never attained yields rank 0 and is_facet False rather
     than an error.
     """

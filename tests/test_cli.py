@@ -307,6 +307,17 @@ class TestMainEntry:
         assert result["argmax_index"] == 0
         assert sum(result["histogram"].values()) == 3**16
 
+    @pytest.mark.parametrize("n,d,rank", [(5, 4, 16805), (6, 3, 15623)])
+    def test_facet_report_past_a_dense_gram(self, n, d, rank, tmp_path):
+        # D + 1 = 7**5 and 5**6: a dense Gram matrix of the saturating rows
+        # would take about 2 GiB
+        out = tmp_path / "report.json"
+        argv = ["facet", "--n", str(n), "--d", str(d), "--no-timestamp", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        result = json.loads(out.read_text())["result"]
+        assert result["is_facet"] is True
+        assert result["affine_rank"] == rank == result["dimension"] - 1
+
     def test_resource_error_exit(self, capsys):
         assert main(["classical", "--n", "5", "--d", "6", "--budget", "1000"]) == EXIT_RESOURCE
 

@@ -31,7 +31,8 @@ from bellbench.polytope import (
     strategy_table,
 )
 
-PRIMES = polytope._PRIMES
+# every prime the facet certificate can use for d = 2..5
+PRIMES = tuple(sorted({p for d in range(2, 6) for p in polytope._primes(d)}))
 
 
 def brute_force_values(expression):
@@ -352,13 +353,17 @@ class TestModularRank:
             assert modular_rank(mat, p) == rank_mod_p_oracle(mat, p) == 60
 
     def test_reduce_mod_is_exact_below_2_pow_48(self):
-        p = PRIMES[0]
-        near = [k * p + e for k in (0, 1, 2, 2**27 - 1, 2**48 // p) for e in (-1, 0, 1)]
-        rng = np.random.default_rng(5)
-        values = near + [-v for v in near] + rng.integers(-(2**48) + 1, 2**48, 5000).tolist()
-        values = [v for v in values if abs(v) < 2**48]
-        reduced = _reduce_mod(np.array(values, dtype=np.float64), p)
-        assert reduced.tolist() == [float(v % p) for v in values]
+        for p in PRIMES:
+            near = [k * p + e for k in (0, 1, 2, 2**27 - 1, 2**48 // p) for e in (-1, 0, 1)]
+            rng = np.random.default_rng(5)
+            values = near + [-v for v in near] + rng.integers(-(2**48) + 1, 2**48, 5000).tolist()
+            values = [v for v in values if abs(v) < 2**48]
+            reduced = _reduce_mod(np.array(values, dtype=np.float64), p)
+            assert reduced.tolist() == [float(v % p) for v in values]
+
+
+# bounds whose saturating vertices span less than a facet
+DEFICIENT = [(2, 3, -4), (3, 3, -4), (2, 4, Fraction(-10, 3))]
 
 
 def saturating_cg_matrix(expression):
@@ -400,7 +405,12 @@ class TestFacetCheck:
 
     @pytest.mark.parametrize(
         "n,d,count",
-        [(3, 2, 32), (3, 3, 270), (3, 4, 1280), (3, 5, 4375), (4, 2, 128), (4, 3, 2430), (5, 2, 512)],
+        [
+            (3, 2, 32), (3, 3, 270), (3, 4, 1280), (3, 5, 4375), (4, 2, 128), (4, 3, 2430), (5, 2, 512),
+            # past the paper; at (6,3) and (5,4), D = 15624 and 16806, a dense
+            # Gram matrix of the saturating rows would take about 2 GiB
+            (2, 10, 2200), (6, 2, 2048), (3, 6, 12096), (6, 3, 196830), (5, 4, 327680),
+        ],
     )
     def test_paper_cases_certify_without_fallback(self, n, d, count, monkeypatch):
         class NoFallback:
@@ -413,7 +423,7 @@ class TestFacetCheck:
         assert report.is_facet
         assert report.saturating_count == count
 
-    @pytest.mark.parametrize("n,d,bound", [(2, 3, -4), (3, 3, -4), (2, 4, Fraction(-10, 3))])
+    @pytest.mark.parametrize("n,d,bound", DEFICIENT)
     def test_deficient_rank_reaches_exact_fallback(self, n, d, bound, monkeypatch):
         lengths = []
 
@@ -434,9 +444,16 @@ class TestFacetCheck:
 
     def test_modular_rank_above_dimension_raises(self, monkeypatch):
         # value - bound vanishes on every saturating CG row, so rank <= D
-        monkeypatch.setattr(polytope, "modular_rank", lambda gram, p: gram.shape[0])
+        sizes = []
+
+        def full_rank(block, p):
+            sizes.append(block.shape[0])
+            return block.shape[0]
+
+        monkeypatch.setattr(polytope, "modular_rank", full_rank)
         with pytest.raises(NumericError):
             facet_check(bell_expression(3, 2))
+        assert sum(sizes) == polytope_dimension(Scenario(3, 2)) + 1
 
     def test_partitioning_invariance(self):
         e = bell_expression(3, 3)
@@ -459,3 +476,132 @@ class TestFacetCheck:
         assert polytope_dimension(Scenario(3, 2)) == 26
         assert polytope_dimension(Scenario(3, 5)) == 728
         assert polytope_dimension(Scenario(4, 3)) == 624
+
+
+def saturating_gram(expression):
+    """Oracle route: Gram matrix of the saturating strategies' CG rows."""
+    sc = expression.scenario
+    target = expression.bound * (sc.outcomes - 1)
+    nums = polytope._value_numerators(expression, 0, strategy_count(sc))
+    # entries are integers at most the saturating count, exact in float64
+    rows = polytope._cg_matrix(sc, np.nonzero(nums == target)[0]).astype(np.float64)
+    return rows.T @ rows
+
+
+def frequency_pairs(d):
+    """One party's frequencies (k1, k2), at most one nonzero, in CG order."""
+    return [(0, 0)] + [(k, 0) for k in range(1, d)] + [(0, k) for k in range(1, d)]
+
+
+def party_change_of_basis(d, p, w):
+    """Q with Q v(a, b) = [w**(k1*a + k2*b) for (k1, k2) in the frequencies] mod p.
+
+    v(a, b) = [1, [a == c for c < d-1], [b == c for c < d-1]]; w**(k*a) is
+    w**(k*(d-1)) plus (w**(k*c) - w**(k*(d-1))) at a == c < d-1.
+    """
+    q = np.zeros((2 * d - 1, 2 * d - 1), dtype=np.int64)
+    for f, (k1, k2) in enumerate(frequency_pairs(d)):
+        k, offset = (k1, 1) if k1 else (k2, d)
+        last = pow(w, k * (d - 1), p)
+        q[f, 0] = last
+        if k:
+            for c in range(d - 1):
+                q[f, offset + c] = (pow(w, k * c, p) - last) % p
+    return q
+
+
+def character_rows(scenario, indices, p, w):
+    """U[s, f] = w**<f, s> mod p, frequencies in Kronecker order."""
+    n, d = scenario.parties, scenario.outcomes
+    freqs = np.array(list(itertools.product(frequency_pairs(d), repeat=n)))
+    digits = np.stack(polytope._digit_arrays(indices, n, d), axis=1)
+    phase = np.einsum("sk,fk->sf", digits, freqs.reshape(len(freqs), 2 * n)) % d
+    powers = np.array([pow(w, k, p) for k in range(d)], dtype=np.int64)
+    return powers[phase]
+
+
+class TestCharacterBlocks:
+    @pytest.mark.parametrize(
+        "n,d,family,bound",
+        [
+            (3, 2, None, None), (3, 3, None, None), (3, 4, None, None), (3, 5, None, None),
+            (4, 2, None, None), (4, 3, None, None), (5, 2, None, None),
+            (2, 3, None, None), (2, 5, None, None),
+            (2, 2, BIPARTITE_LEGACY, None), (2, 4, BIPARTITE_LEGACY, None),
+            *[(n, d, None, bound) for n, d, bound in DEFICIENT],
+        ],
+    )
+    def test_block_rank_sum_equals_gram_rank(self, n, d, family, bound):
+        e = bell_expression(n, d, family) if family else bell_expression(n, d)
+        if bound is not None:
+            e = e.with_bound(bound)
+        gram = saturating_gram(e)
+        indicator = polytope._saturating_indicator(e, int(e.bound * (d - 1)))
+        for p in polytope._primes(d):
+            blocks = polytope._character_blocks(indicator, n, p)
+            assert sum(modular_rank(block, p) for _, _, block in blocks) == modular_rank(gram, p)
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2)])
+    def test_change_of_basis_and_coset_pairing(self, n, d):
+        sc = Scenario(n, d)
+        e = bell_expression(n, d)
+        for p in polytope._primes(d):
+            w = polytope._unit_root(p, d)
+            q = party_change_of_basis(d, p, w)
+            assert modular_rank(q, p) == 2 * d - 1
+            q_n = np.ones((1, 1), dtype=np.int64)
+            for _ in range(n):
+                q_n = np.kron(q_n, q) % p
+            every = np.arange(strategy_count(sc))
+            m = polytope._cg_matrix(sc, every)
+            assert np.array_equal(character_rows(sc, every, p, w), m @ q_n.T % p)
+
+            nums = polytope._value_numerators(e, 0, strategy_count(sc))
+            u = character_rows(sc, np.nonzero(nums == 2 * (d - 1))[0], p, w)
+            g = u.T @ u % p
+            scale = pow(d, 2 * n - 4, p)
+            covered = np.zeros(g.shape, dtype=bool)
+            row_count = np.zeros(g.shape[0], dtype=np.int64)
+            indicator = polytope._saturating_indicator(e, 2 * (d - 1))
+            for rows, cols, block in polytope._character_blocks(indicator, n, p):
+                assert np.array_equal(g[np.ix_(rows, cols)], scale * block % p)
+                covered[np.ix_(rows, cols)] = True
+                row_count[rows] += 1
+            assert (row_count == 1).all()
+            assert not g[~covered].any()
+
+    @pytest.mark.parametrize("n,d", [(4, 3), (3, 5), (6, 2)])
+    def test_certificate_stays_in_blocks(self, n, d, monkeypatch):
+        widths, ranges = [], []
+        rank, numerators = polytope.modular_rank, polytope._value_numerators
+
+        def rank_spy(block, p):
+            widths.append(block.shape[1])
+            return rank(block, p)
+
+        def numerators_spy(expression, lo, hi):
+            ranges.append((lo, hi))
+            return numerators(expression, lo, hi)
+
+        class NoFallback:
+            def __init__(self, length):
+                raise AssertionError("integer fallback reached")
+
+        monkeypatch.setattr(polytope, "modular_rank", rank_spy)
+        monkeypatch.setattr(polytope, "_value_numerators", numerators_spy)
+        monkeypatch.setattr(polytope, "IntegerRankAccumulator", NoFallback)
+        e = bell_expression(n, d)
+        dim = polytope_dimension(e.scenario)
+        assert polytope._affine_rank(e, 2 * (d - 1), strategy_count(e.scenario)) == dim - 1
+        assert 0 < max(widths) <= (2 * d - 1) ** 2
+        assert sum(hi - lo for lo, hi in ranges) <= d**4
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_primes_hold_roots_of_unity(self, d):
+        primes = polytope._primes(d)
+        assert len(set(primes)) == 2
+        for p in primes:
+            assert p < 2**21 and p % d == 1
+            assert all(p % q for q in range(2, int(p**0.5) + 1))
+            w = polytope._unit_root(p, d)
+            assert [pow(w, k, p) == 1 for k in range(1, d + 1)] == [False] * (d - 1) + [True]

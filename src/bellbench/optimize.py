@@ -2,7 +2,8 @@
 
 All searches are deterministic: start k of a run draws from a generator
 seeded by (seed, k), so results are independent of thread count and the
-start-stream is a prefix of any longer run with the same seed.
+start-stream is a prefix of any longer run with the same seed.  Importing
+this module does not load scipy: `minimize` does, on its first call.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError
 from .parallel import parallel_map
@@ -35,6 +35,14 @@ MAX_SEESAW_SWEEPS = 100
 # above the threshold marks the stopping point as a saddle to step off.
 CURVATURE_STEP = 1e-4
 CURVATURE_THRESHOLD = 1e-6
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call so that commands
+    which never search do not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """Run-spec parsing, dispatch, report determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellbench
 from bellbench import DomainError
 from bellbench.cli import (
     EXIT_DOMAIN,
@@ -347,6 +352,84 @@ class TestMainEntry:
         ]
         assert main(argv) == EXIT_OK
         assert out.read_text().startswith("theta,best_value,converged\n")
+
+
+# Runs each argv through cli.main in a fresh interpreter, with a short switch
+# interval so that worker threads interleave, and prints whether
+# scipy.optimize is loaded after the import and after each command.
+_FRESH_RUN = """
+import json, sys
+if sys.argv[1] == "preload":
+    import scipy.optimize
+sys.setswitchinterval(1e-6)
+from bellbench import cli
+loaded = ["scipy.optimize" in sys.modules]
+for argv in json.loads(sys.argv[2]):
+    if cli.main(argv) != cli.EXIT_OK:
+        raise SystemExit(f"{argv} failed")
+    loaded.append("scipy.optimize" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _fresh_run(commands, preload=False):
+    src = str(Path(bellbench.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, "preload" if preload else "cold", json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyLoading:
+    """scipy.optimize is loaded by the first local search, not by the import."""
+
+    def test_exact_commands_never_load_scipy(self, tmp_path):
+        commands = [
+            ["classical", "--n", "3", "--d", "3"],
+            ["facet", "--n", "3", "--d", "2"],
+            ["reduce", "--n", "3", "--d", "3"],
+            ["threshold", "--violation", "2.8284271"],
+            ["--config", fixture_path("ghz3_qubit.json")],
+        ]
+        commands = [argv + ["--out", str(tmp_path / f"{k}.json")] for k, argv in enumerate(commands)]
+        assert _fresh_run(commands) == [False] * 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--n", "3", "--d", "2", "--state", "ghz_qubit:1/4pi"],
+            ["seesaw", "--n", "2", "--d", "2"],
+            ["sweep", "--n", "3", "--d", "2", "--state", "ghz_qubit", "--grid", "1/4pi"],
+            ["mermin", "--state", "amps:1,0,0,0,0,0,0,0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_searches_load_scipy(self, argv, tmp_path):
+        argv = argv + ["--starts", "2", "--seed", "1", "--out", str(tmp_path / "report")]
+        assert _fresh_run([argv]) == [False, True]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mermin", "--state", "amps:1,0,0,0,0,0,0,0"],
+            ["optimize", "--n", "3", "--d", "3", "--state", "ghz_max"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_first_search_on_two_threads_matches_a_preloaded_run(self, argv, tmp_path):
+        # both worker threads can make the first minimize call at once
+        out = tmp_path / "report.json"
+        argv = argv + ["--starts", "8", "--seed", "3", "--threads", "2",
+                       "--no-timestamp", "--out", str(out)]
+        assert _fresh_run([argv]) == [False, True]
+        cold = out.read_bytes()
+        assert _fresh_run([argv], preload=True) == [True, True]
+        assert out.read_bytes() == cold
 
 
 def _capture(argv):

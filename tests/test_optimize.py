@@ -403,6 +403,22 @@ class TestOneSplitterRoute:
             assert result.best_value > 2
 
 
+class TestMinimizeWrapper:
+    def test_forwards_to_scipy(self):
+        from scipy.optimize import minimize as scipy_minimize
+
+        def quadratic(x):
+            shifted = x - np.array([1.0, -2.0, 0.5])
+            return float(shifted @ shifted), 2 * shifted
+
+        kwargs = dict(jac=True, method="L-BFGS-B", options={"ftol": 1e-12, "gtol": 1e-10})
+        ours = optimize.minimize(quadratic, np.zeros(3), **kwargs)
+        direct = scipy_minimize(quadratic, np.zeros(3), **kwargs)
+        assert np.array_equal(ours.x, direct.x)
+        assert (ours.fun, ours.nfev, ours.success) == (direct.fun, direct.nfev, direct.success)
+        assert ours.success and ours.nfev > 1
+
+
 class TestTracedNames:
     """perfbench times these module attributes by name, so the searches must
     look them up at call time."""

@@ -20,6 +20,7 @@ from .scenario import BellExpression, Scenario
 from .quantum import (
     PhaseConfiguration,
     StateVector,
+    _expression_hessian,
     _expression_value_and_gradient,
     bell_operator,
     ghz_qubit,
@@ -30,9 +31,10 @@ from .quantum import (
 
 MAX_SEESAW_SWEEPS = 100
 
-# The phase search's second-order escape: the Hessian is taken by central
-# differences of the analytic gradient with this step, and a top eigenvalue
-# above the threshold marks the stopping point as a saddle to step off.
+# The searches' second-order escape: a top Hessian eigenvalue above the
+# threshold marks a stopping point as a saddle to step off.  The phase
+# searches read the exact Hessian; the family searches take it by central
+# differences of the analytic gradient with this step.
 CURVATURE_STEP = 1e-4
 CURVATURE_THRESHOLD = 1e-6
 
@@ -147,15 +149,10 @@ def wrap_angle(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
 
 
-def _phase_vectors(x: np.ndarray, scenario: Scenario) -> list[np.ndarray]:
-    """Unpack the free phases (gauge phi[0] = 0) into 2N full vectors."""
-    d = scenario.outcomes
-    free = d - 1
-    vectors = []
-    for v in range(2 * scenario.parties):
-        vec = np.zeros(d)
-        vec[1:] = x[v * free : (v + 1) * free]
-        vectors.append(vec)
+def _phase_vectors(x: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Unpack the free phases (gauge phi[0] = 0) into the (2N, d) phase array."""
+    vectors = np.zeros((2 * scenario.parties, scenario.outcomes))
+    vectors[:, 1:] = x.reshape(2 * scenario.parties, -1)
     return vectors
 
 
@@ -198,37 +195,44 @@ def _gradient_max(
     return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), int(res.nfev)
 
 
-def _top_curvature(
+def _difference_hessian(
     objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Largest Hessian eigenvalue at x and its eigenvector, from central
-    differences of the gradient (2 * x.size calls)."""
-    hessian = np.empty((x.size, x.size))
-    for i in range(x.size):
-        step = np.zeros(x.size)
-        step[i] = CURVATURE_STEP
-        up = objective_and_gradient(x + step)[1]
-        down = objective_and_gradient(x - step)[1]
-        hessian[:, i] = (up - down) / (2 * CURVATURE_STEP)
-    values, vectors = np.linalg.eigh((hessian + hessian.T) / 2)
-    return float(values[-1]), vectors[:, -1]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The Hessian from central differences of the gradient, step
+    CURVATURE_STEP, at 2 * x.size calls: the family objectives have no other."""
+
+    def hessian(x: np.ndarray) -> np.ndarray:
+        matrix = np.empty((x.size, x.size))
+        for i in range(x.size):
+            step = np.zeros(x.size)
+            step[i] = CURVATURE_STEP
+            up = objective_and_gradient(x + step)[1]
+            down = objective_and_gradient(x - step)[1]
+            matrix[:, i] = (up - down) / (2 * CURVATURE_STEP)
+        return matrix
+
+    return hessian
 
 
 def _escaping_gradient_max(
     objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    hessian: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     config: OptimizerConfig,
+    probe_cost: int = 1,
 ) -> tuple[np.ndarray, float, bool, int]:
     """_gradient_max, restarted past saddles; returns what it returns.
 
     L-BFGS-B stops at any stationary point, and splitter phases have saddles
     with a vanishing gradient that no single-axis step climbs out of (the
     zero-phase start on a degenerate eigenvector is one).  So at each stop
-    the top Hessian eigenvalue is read; if it is positive, one initial_step
-    along its eigenvector (the better sign, + on a tie) is tried, and the
-    search restarts there when the value rises by more than tol.  Every
-    value, gradient and curvature call counts against max_iterations.
+    the top eigenvalue of hessian(x) is read; if it is positive, one
+    initial_step along its eigenvector (the better sign, + on a tie) is
+    tried, and the search restarts there when the value rises by more than
+    tol.  Every value-and-gradient call counts against max_iterations, and so
+    does each probe, at probe_cost: 1 for the phase searches' exact Hessian
+    (about one kernel call), 2 * x.size for _difference_hessian.  A probe
+    and its step run only while they fit in what is left.
     """
     x = np.asarray(x0, dtype=float)
     budget = config.max_iterations
@@ -237,14 +241,15 @@ def _escaping_gradient_max(
         remaining = replace(config, max_iterations=budget - evaluations)
         x, value, ok, nfev = _gradient_max(objective_and_gradient, x, remaining)
         evaluations += nfev
-        if not ok or x.size == 0 or evaluations + 2 * x.size + 2 >= budget:
+        if not ok or x.size == 0 or evaluations + probe_cost + 2 >= budget:
             return x, value, ok, evaluations
-        curvature, direction = _top_curvature(objective_and_gradient, x)
-        evaluations += 2 * x.size
-        if curvature <= CURVATURE_THRESHOLD:
+        h = hessian(x)
+        curvatures, directions = np.linalg.eigh((h + h.T) / 2)
+        evaluations += probe_cost
+        if curvatures[-1] <= CURVATURE_THRESHOLD:
             return x, value, ok, evaluations
-        up = x + config.initial_step * direction
-        down = x - config.initial_step * direction
+        up = x + config.initial_step * directions[:, -1]
+        down = x - config.initial_step * directions[:, -1]
         up_value = objective_and_gradient(up)[0]
         down_value = objective_and_gradient(down)[0]
         evaluations += 2
@@ -256,16 +261,25 @@ def _escaping_gradient_max(
 
 def _phase_objective(
     state_tensor: np.ndarray, expression: BellExpression
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Bell value and gradient in the free phases, the state held fixed."""
+) -> tuple[
+    Callable[[np.ndarray], tuple[float, np.ndarray]], Callable[[np.ndarray], np.ndarray]
+]:
+    """(value and gradient, exact Hessian) in the free phases, the state held
+    fixed."""
     sc = expression.scenario
+    rows, d = 2 * sc.parties, sc.outcomes
 
     def objective_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
-        vectors = _phase_vectors(x, sc)
-        value, gradient, _ = _expression_value_and_gradient(state_tensor, vectors, expression)
+        value, gradient, _ = _expression_value_and_gradient(
+            state_tensor, _phase_vectors(x, sc), expression
+        )
         return value, gradient[:, 1:].ravel()
 
-    return objective_and_gradient
+    def hessian(x: np.ndarray) -> np.ndarray:
+        full = _expression_hessian(state_tensor, _phase_vectors(x, sc), expression)
+        return full.reshape(rows, d, rows, d)[:, 1:, :, 1:].reshape(x.size, x.size)
+
+    return objective_and_gradient, hessian
 
 
 def multistart(
@@ -324,9 +338,9 @@ def optimize_phases(
     sc = expression.scenario
     if state.scenario != sc:
         raise DomainError("state scenario does not match the expression")
-    objective_and_gradient = _phase_objective(state.as_tensor(), expression)
+    objective_and_gradient, hessian = _phase_objective(state.as_tensor(), expression)
     best, per_start = multistart(
-        lambda x0: _escaping_gradient_max(objective_and_gradient, x0, config),
+        lambda x0: _escaping_gradient_max(objective_and_gradient, hessian, x0, config),
         np.zeros(_phase_param_count(sc)),
         config,
         threads,
@@ -359,8 +373,8 @@ def seesaw(
             operator = bell_operator(_config_from_params(x, sc), expression)
             lam, state = max_eigenpair(operator)
             trajectory.append(lam)
-            objective_and_gradient = _phase_objective(state.as_tensor(), expression)
-            x, val, _, nfev = _escaping_gradient_max(objective_and_gradient, x, config)
+            objective_and_gradient, hessian = _phase_objective(state.as_tensor(), expression)
+            x, val, _, nfev = _escaping_gradient_max(objective_and_gradient, hessian, x, config)
             evaluations += nfev
             trajectory.append(val)
             if val - prev <= config.tol:
@@ -429,7 +443,10 @@ def optimize_state_family(
     first = np.zeros(n_angles + (_phase_param_count(sc) if free_phases else 0))
     first[:n_angles] = np.pi / 4
 
-    search = lambda x0: _escaping_gradient_max(objective_and_gradient, x0, config)
+    hessian = _difference_hessian(objective_and_gradient)
+    search = lambda x0: _escaping_gradient_max(
+        objective_and_gradient, hessian, x0, config, probe_cost=2 * x0.size
+    )
     best, per_start = multistart(search, first, config, threads)
     x = best[0]
     angles = wrap_angle(x[:n_angles])

@@ -32,6 +32,9 @@ from .scenario import (
 )
 
 DEFAULT_BUDGET = 10**8
+# facet_check's character blocks hold a few N * (2d-1)**N-entry tables; past
+# this many frequencies ((2d-1)**N = D + 1) it stops before building them.
+FREQUENCY_CAP = 10**5
 _CHUNK = 1 << 16
 _ROW_BLOCK = 512
 _PANEL = 32
@@ -580,11 +583,16 @@ def facet_check(
     matrix, with an exact integer fallback when that rank is deficient (see
     _affine_rank).  A
     bound that is never attained yields rank 0 and is_facet False rather
-    than an error.
+    than an error.  Past FREQUENCY_CAP it raises ResourceError before any
+    work.
     """
     sc = expression.scenario
     total = _check_budget(sc, budget)
     dim = polytope_dimension(sc)
+    if dim + 1 > FREQUENCY_CAP:
+        raise ResourceError(
+            f"facet certificate over {dim + 1} frequencies exceeds cap {FREQUENCY_CAP}"
+        )
     cm = classical_maximum(expression, budget=budget, threads=threads)
 
     target = expression.bound * (sc.outcomes - 1)

@@ -279,8 +279,8 @@ def _expression_value_and_gradient(
     u = e * state_tensor.reshape(-1)[flat]
     cu = u @ coupling.swapaxes(1, 2)
     overlap = u.conj() * cu
-    weights = np.broadcast_to(2 * overlap.imag[..., None], index.shape)
-    gradient = np.bincount(index.ravel(), weights.ravel(), minlength=2 * sc.parties * sc.outcomes)
+    weights = np.repeat(2 * overlap.imag.ravel(), sc.parties)
+    gradient = np.bincount(index.ravel(), weights, minlength=2 * sc.parties * sc.outcomes)
     b_psi = np.empty(sc.dimension, dtype=np.complex128)
     b_psi[flat] = np.einsum("toa,toa->oa", e.conj(), cu)
     return (
@@ -288,6 +288,46 @@ def _expression_value_and_gradient(
         gradient.reshape(-1, sc.outcomes),
         b_psi.reshape(state_tensor.shape),
     )
+
+
+@lru_cache(maxsize=None)
+def _orbit_incidence(parties: int, d: int, family: str) -> np.ndarray:
+    """P[t, o, a, k] = 1 if phase k moves e[t, o, a] of _orbit_terms, else 0.
+
+    Party j adds phase index[t, o, a, j], and those lie in party j's own
+    vectors, so the entries are 0 or 1; the shape is (T, O, d, 2N * d).
+    """
+    _, index, _ = _orbit_terms(parties, d, family)
+    incidence = np.zeros(index.shape[:-1] + (2 * parties * d,))
+    np.put_along_axis(incidence, index, 1.0, axis=-1)
+    incidence.setflags(write=False)
+    return incidence
+
+
+def _expression_hessian(
+    state_tensor: np.ndarray,
+    vectors: Sequence[np.ndarray],
+    expression: BellExpression,
+) -> np.ndarray:
+    """Hessian of the Bell value in every phase, shape (2N * d, 2N * d), the
+    phases flattened in the (2N, d) order of the gradient.
+
+    With u = e_t * psi_o and W[a, b] = conj(u[a]) C_t[a, b] u[b], the value is
+    sum W, and W[a, b] turns with the phases as exp(i (P_b - P_a) . phi), P
+    the incidence rows of _orbit_incidence.  So H = -sum Re W[a, b]
+    (P_b - P_a)(P_b - P_a)^T.  C_t is Hermitian, so R = Re W is symmetric,
+    and H = 2 sum P^T (R - diag(R 1)) P: two matmuls over the orbits.
+    """
+    sc = expression.scenario
+    coupling, index, flat = _orbit_terms(sc.parties, sc.outcomes, expression.family)
+    incidence = _orbit_incidence(sc.parties, sc.outcomes, expression.family)
+    u = _phase_factors(index, vectors) * state_tensor.reshape(-1)[flat]
+    r = (u.conj()[..., :, None] * coupling[:, None] * u[..., None, :]).real
+    diagonal = np.arange(sc.outcomes)
+    r[..., diagonal, diagonal] -= r.sum(axis=-1)
+    size = incidence.shape[-1]
+    moved = (r @ incidence).reshape(-1, size)
+    return 2 * incidence.reshape(-1, size).T @ moved
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -322,6 +323,16 @@ class TestMainEntry:
         result = json.loads(out.read_text())["result"]
         assert result["is_facet"] is True
         assert result["affine_rank"] == rank == result["dimension"] - 1
+
+    def test_facet_past_the_frequency_cap_exits_resource(self, tmp_path, capsys):
+        # 2**26 strategies fit the default budget, but the certificate's
+        # tables would hold 13 * 3**13 entries each
+        out = tmp_path / "report.json"
+        start = time.perf_counter()
+        assert main(["facet", "--n", "13", "--d", "2", "--out", str(out)]) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("resource error: ")
 
     def test_resource_error_exit(self, capsys):
         assert main(["classical", "--n", "5", "--d", "6", "--budget", "1000"]) == EXIT_RESOURCE

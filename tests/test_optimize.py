@@ -24,6 +24,7 @@ from bellbench.quantum import (
     PhaseConfiguration,
     StateVector,
     bell_operator,
+    ghz_max,
     ghz_qubit,
     ghz_qutrit,
     max_eigenpair,
@@ -177,6 +178,62 @@ class TestSeesaw:
         e = bell_expression(2, 3)
         cfg = OptimizerConfig(starts=3, seed=4)
         assert seesaw(e, cfg).best_value == seesaw(e, cfg).best_value
+
+
+class TestCurvatureProbe:
+    def test_phase_probe_makes_no_kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = optimize._expression_value_and_gradient
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(optimize, "_expression_value_and_gradient", counting)
+        objective_and_gradient, hessian = optimize._phase_objective(
+            ghz_max(4, 2).as_tensor(), bell_expression(4, 2)
+        )
+        x = np.random.default_rng(5).uniform(-PI, PI, 8)
+        exact = hessian(x)
+        assert calls == []
+        central = optimize._difference_hessian(objective_and_gradient)(x)
+        assert len(calls) == 2 * x.size
+        assert np.abs(exact - central).max() < 1e-7
+
+    def test_evaluations_at_the_zero_phase_saddle(self, monkeypatch):
+        # one start of the (4,2) see-saw stops at the zero-phase saddle, probes
+        # and steps off; evaluations = minimize calls + 1 per probe + 2 per
+        # step attempt, and the steps are the only kernel calls outside
+        # minimize
+        nfev, probes, kernel_calls = [], [], [0]
+        originals = {
+            name: getattr(optimize, name)
+            for name in ("minimize", "_expression_hessian", "_expression_value_and_gradient")
+        }
+
+        def minimize(*args, **kwargs):
+            result = originals["minimize"](*args, **kwargs)
+            nfev.append(result.nfev)
+            return result
+
+        def hessian(*args):
+            before = kernel_calls[0]
+            probes.append(originals["_expression_hessian"](*args))
+            assert kernel_calls[0] == before
+            return probes[-1]
+
+        def kernel(*args):
+            kernel_calls[0] += 1
+            return originals["_expression_value_and_gradient"](*args)
+
+        monkeypatch.setattr(optimize, "minimize", minimize)
+        monkeypatch.setattr(optimize, "_expression_hessian", hessian)
+        monkeypatch.setattr(optimize, "_expression_value_and_gradient", kernel)
+        result = seesaw(bell_expression(4, 2), OptimizerConfig(starts=1, seed=1))
+        steps, odd = divmod(kernel_calls[0] - sum(nfev), 2)
+        assert odd == 0 and len(probes) >= steps >= 1
+        assert result.evaluations == sum(nfev) + len(probes) + 2 * steps
+        assert abs(result.best_value - ROOT8) < 1e-6
 
 
 class TestStateFamilies:

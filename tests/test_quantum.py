@@ -13,11 +13,13 @@ from bellbench import (
     bell_expression,
     bell_value,
 )
+from bellbench.optimize import _difference_hessian
 from bellbench.scenario import BIPARTITE_LEGACY, MULTIPARTITE, weight_numerators
 from bellbench.quantum import (
     BellOperator,
     PhaseConfiguration,
     StateVector,
+    _expression_hessian,
     _expression_value_and_gradient,
     _orbits,
     beamsplitter_unitary,
@@ -278,6 +280,30 @@ class TestExpressionGradient:
                 direction = rng.normal(size=tensor.shape) + 1j * rng.normal(size=tensor.shape)
                 central = (value(tensor + h * direction) - value(tensor - h * direction)) / (2 * h)
                 assert abs(2 * np.vdot(b_psi, direction).real - central) < 1e-8
+
+    @pytest.mark.parametrize(
+        "n,d,family",
+        with_oracle_cases([(2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (4, 3), (2, 4), (8, 3)]),
+    )
+    def test_hessian_matches_difference_hessian(self, n, d, family):
+        # the exact phase Hessian against central differences of the kernel's
+        # own gradient, in every phase (the gauge phases included)
+        sc = Scenario(n, d)
+        e = bell_expression(n, d, family)
+        rng = np.random.default_rng(200 + 10 * n + d)
+
+        def objective_and_gradient(x):
+            value, gradient, _ = _expression_value_and_gradient(tensor, x.reshape(2 * n, d), e)
+            return value, gradient.ravel()
+
+        for _ in range(2):
+            tensor = random_state(sc, rng).as_tensor()
+            vectors = rng.uniform(-PI, PI, size=(2 * n, d))
+            hessian = _expression_hessian(tensor, vectors, e)
+            assert hessian.shape == (2 * n * d, 2 * n * d)
+            assert np.abs(hessian - hessian.T).max() < 1e-12
+            central = _difference_hessian(objective_and_gradient)(vectors.ravel())
+            assert np.abs(hessian - central).max() < 1e-7
 
 
 class TestReportedSettings:

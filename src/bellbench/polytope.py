@@ -6,13 +6,15 @@ ranges whose partial results merge deterministically.  Only two-party
 maxima are scanned in chunks: for N > 2 the value spectrum is the (2,d)
 one scaled by d**(2N-4) (see classical_maximum).  All classical values
 are exact rationals.  The facet rank is certified exactly modulo a prime,
-one coset block of character sums at a time (see _affine_rank), with an
-exact integer rank as the fallback for deficient ranks.
+one character-sum block per coset type (see _affine_rank), with an exact
+integer rank as the fallback for deficient ranks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,9 +34,6 @@ from .scenario import (
 )
 
 DEFAULT_BUDGET = 10**8
-# facet_check's character blocks hold a few N * (2d-1)**N-entry tables; past
-# this many frequencies ((2d-1)**N = D + 1) it stops before building them.
-FREQUENCY_CAP = 10**5
 _CHUNK = 1 << 16
 _ROW_BLOCK = 512
 _PANEL = 32
@@ -195,13 +194,13 @@ def classical_maximum(
 
     Scanned partial results over index ranges merge associatively (max with
     lowest-index tie break, histogram addition), so the output does not
-    depend on chunking or thread count.
+    depend on chunking or thread count.  The budget bounds the d**4 scanned
+    strategies.
     """
     sc = expression.scenario
-    _check_budget(sc, budget)
     d = sc.outcomes
     scanned = _two_party_member(expression)
-    total = strategy_count(scanned.scenario)
+    total = _check_budget(scanned.scenario, budget)
     scale = d ** (2 * sc.parties - 4)
 
     def work(lo: int):
@@ -456,7 +455,7 @@ def _saturating_blocks(
 
 
 def _streamed_affine_rank(
-    expression: BellExpression, target_num: int, total: int
+    expression: BellExpression, target_num: int, budget: int
 ) -> int:
     """Exact affine rank of the saturating vertices, capped at D - 1.
 
@@ -464,6 +463,7 @@ def _streamed_affine_rank(
     accumulator, stopping early once the rank reaches D - 1.
     """
     sc = expression.scenario
+    total = _check_budget(sc, budget)
     dim = polytope_dimension(sc)
     acc = IntegerRankAccumulator(dim + 1)
     base_row: Optional[np.ndarray] = None
@@ -509,13 +509,16 @@ def _saturating_indicator(expression: BellExpression, target_num: int) -> np.nda
 
 def _character_blocks(
     indicator: np.ndarray, parties: int, p: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, cols, block) for each coset C of im(phi^T) among the frequencies.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(count, block) for each type of coset C of im(phi^T) among the frequencies.
 
-    A frequency f has one pair (k1, k2), at most one nonzero, per party; they
-    are numbered in CG coordinate order.  rows lists those in C, cols those
-    in -C, and block[i, j] is the sum of w**<kappa, t> over the t in S that
-    indicator marks, mod p, with kappa = rows[i] + cols[j] on parties 0, 1.
+    A frequency f has one pair (k1, k2), at most one nonzero, per party.  C is
+    fixed by each party j >= 2's offset x_j = f_j - f_(j mod 2) and holds the
+    f with f_0 in A, f_1 in B: A (B) is the set of pairs a with a + x_j a pair
+    for every even (odd) j.  -C is -A x -B, so C's block, rows (a, b) and
+    columns (-a', -b'), is S^ at kappa = (a - a', b - b') mod p: it depends on
+    C only through its type (A, B).  count, the number of cosets of that
+    type, comes from a dynamic program over the parties on the surviving set.
     """
     d = indicator.shape[0]
     w = _unit_root(p, d)
@@ -528,47 +531,49 @@ def _character_blocks(
 
     ks, zeros = np.arange(1, d), np.zeros(d - 1, dtype=np.int64)
     pairs = np.vstack([[0, 0], np.column_stack([ks, zeros]), np.column_stack([zeros, ks])])
-    pair_sum = ((pairs[:, None, :] + pairs[None, :, :]) % d) @ [1, d]
-    party = np.indices((2 * d - 1,) * parties).reshape(parties, -1)
-    # im(phi^T) holds the vectors constant on the even and on the odd parties,
-    # so a coset is fixed by each later party's offset from party 0 or 1.
-    freq = pairs[party]
-    diff = (freq[2:] - freq[np.arange(2, parties) % 2]) % d
-    diff = diff.transpose(1, 0, 2).reshape(party.shape[1], -1)
-    weights = d ** np.arange(diff.shape[1], dtype=np.int64)
-    key, neg = diff @ weights, (-diff % d) @ weights
-    order = np.argsort(key, kind="stable")
-    keys, starts = np.unique(key[order], return_index=True)
-    cosets = dict(zip(keys.tolist(), np.split(order, starts[1:])))
-    for rows in cosets.values():
-        cols = cosets[int(neg[rows[0]])]
-        kappa = [pair_sum[party[j][rows][:, None], party[j][cols]] for j in (0, 1)]
-        yield rows, cols, shat[kappa[0] + d * d * kappa[1]]
+    pair_diff = ((pairs[:, None, :] - pairs[None, :, :]) % d) @ [1, d]
+    # how many offsets x keep each set of pairs (the a with a + x a pair)
+    keeps = Counter(
+        frozenset(np.flatnonzero(((pairs + x) % d == 0).any(axis=1)).tolist()) for x in np.ndindex(d, d)
+    )
+    sides = []
+    for offsets in ((parties + 1) // 2 - 1, parties // 2 - 1):
+        types = Counter({frozenset(range(2 * d - 1)): 1})
+        for _ in range(offsets):
+            step: Counter = Counter()
+            for (kept, count), (keep, ways) in itertools.product(types.items(), keeps.items()):
+                step[kept & keep] += count * ways
+            types = step
+        sides.append([(n, pair_diff[np.ix_(sorted(a), sorted(a))]) for a, n in types.items() if a])
+    for (count_a, kappa_a), (count_b, kappa_b) in itertools.product(*sides):
+        block = shat[kappa_a[:, None, :, None] + d * d * kappa_b[None, :, None, :]]
+        yield count_a * count_b, block.reshape(len(kappa_a) * len(kappa_b), -1)
 
 
-def _affine_rank(expression: BellExpression, target_num: int, total: int) -> int:
+def _affine_rank(expression: BellExpression, target_num: int, budget: int) -> int:
     """Affine rank of the saturating vertices, capped at D - 1.
 
     With CG rows M (first coordinate 1), it is rank(M) - 1 >= rank_p(M^T M) - 1.
     A per-party change of basis, invertible mod p, sends row s to the
     characters w**<f, s>; the saturating set is phi^-1(S) (classical_maximum),
     so M^T M becomes d**(2N-4) * S^(kappa) at f + g = phi^T kappa, else 0: one
-    block per coset (_character_blocks).  value - bound, nonzero as no
-    expression is constant on the vertices, vanishes on every row, so
-    rank(M) <= D and a block-rank sum of D certifies D - 1 exactly.  A
-    deficient sum under both primes falls back to the exact integer stream.
+    block per coset, shared by the cosets of one type (_character_blocks).
+    value - bound, nonzero as no expression is constant on the vertices,
+    vanishes on every row, so rank(M) <= D and a count-weighted block-rank
+    sum of D certifies D - 1 exactly.  A deficient sum under both primes
+    falls back to the exact integer stream.
     """
     sc = expression.scenario
     dim = polytope_dimension(sc)
     indicator = _saturating_indicator(expression, target_num)
     for p in _primes(sc.outcomes):
         blocks = _character_blocks(indicator, sc.parties, p)
-        rank = sum(modular_rank(block, p) for _, _, block in blocks)
+        rank = sum(count * modular_rank(block, p) for count, block in blocks)
         if rank > dim:
             raise NumericError(f"modular rank {rank} exceeds the bound {dim} on a face")
         if rank == dim:
             return dim - 1
-    return _streamed_affine_rank(expression, target_num, total)
+    return _streamed_affine_rank(expression, target_num, budget)
 
 
 def facet_check(
@@ -580,19 +585,14 @@ def facet_check(
 
     The affine rank of the saturating vertices (Bell value equal to the
     bound) comes from modular ranks of the character blocks of their Gram
-    matrix, with an exact integer fallback when that rank is deficient (see
-    _affine_rank).  A
+    matrix, one block per coset type weighted by its count, with an exact
+    integer fallback when that rank is deficient (see _affine_rank).  A
     bound that is never attained yields rank 0 and is_facet False rather
-    than an error.  Past FREQUENCY_CAP it raises ResourceError before any
-    work.
+    than an error.  The budget bounds the strategies actually walked: the
+    d**4 of the classical scan, and the d**(2N) of the fallback if it runs.
     """
     sc = expression.scenario
-    total = _check_budget(sc, budget)
     dim = polytope_dimension(sc)
-    if dim + 1 > FREQUENCY_CAP:
-        raise ResourceError(
-            f"facet certificate over {dim + 1} frequencies exceeds cap {FREQUENCY_CAP}"
-        )
     cm = classical_maximum(expression, budget=budget, threads=threads)
 
     target = expression.bound * (sc.outcomes - 1)
@@ -603,7 +603,7 @@ def facet_check(
 
     rank = 0
     if saturating > 0:
-        rank = _affine_rank(expression, int(target), total)
+        rank = _affine_rank(expression, int(target), budget)
 
     return FacetReport(
         expression=expression,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bellbench
-from bellbench import DomainError
+from bellbench import DomainError, bell_expression
 from bellbench.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -30,6 +30,7 @@ from bellbench.cli import (
     run,
 )
 from bellbench.optimize import StateFamily
+from bellbench.polytope import facet_check
 from bellbench.quantum import StateVector
 from bellbench.scenario import Scenario
 
@@ -324,15 +325,33 @@ class TestMainEntry:
         assert result["is_facet"] is True
         assert result["affine_rank"] == rank == result["dimension"] - 1
 
-    def test_facet_past_the_frequency_cap_exits_resource(self, tmp_path, capsys):
-        # 2**26 strategies fit the default budget, but the certificate's
-        # tables would hold 13 * 3**13 entries each
+    def test_facet_at_forty_qutrits_certifies(self, tmp_path):
+        # (2d-1)**N = 5**40 frequencies, ranked as a few hundred coset types
         out = tmp_path / "report.json"
         start = time.perf_counter()
-        assert main(["facet", "--n", "13", "--d", "2", "--out", str(out)]) == EXIT_RESOURCE
+        assert main(["facet", "--n", "40", "--d", "3", "--no-timestamp", "--out", str(out)]) == EXIT_OK
         assert time.perf_counter() - start < 1
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith("resource error: ")
+        result = json.loads(out.read_text())["result"]
+        assert result["is_facet"] is True
+        assert result["affine_rank"] == 5**40 - 2 == result["dimension"] - 1
+        two_party = facet_check(bell_expression(2, 3)).saturating_count
+        assert result["saturating_count"] == two_party * 3**76
+
+    def test_classical_report_counts_exactly_past_int64(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["classical", "--n", "40", "--d", "3", "--no-timestamp", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["result"]["classical_max"] == "2"
+        assert sum(report["result"]["histogram"].values()) == 3**80
+        assert report["diagnostics"]["iterations"] == 3**80
+
+    def test_budget_bounds_the_two_party_scan(self, tmp_path):
+        # 6**4 = 1296 scanned strategies, not the 6**10 of the five-party space
+        out = tmp_path / "report.json"
+        argv = ["classical", "--n", "5", "--d", "6", "--budget", "1296", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert json.loads(out.read_text())["result"]["classical_max"] == "2"
 
     def test_resource_error_exit(self, capsys):
         assert main(["classical", "--n", "5", "--d", "6", "--budget", "1000"]) == EXIT_RESOURCE

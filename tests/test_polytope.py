@@ -443,17 +443,31 @@ class TestFacetCheck:
         assert not report.is_facet
 
     def test_modular_rank_above_dimension_raises(self, monkeypatch):
-        # value - bound vanishes on every saturating CG row, so rank <= D
+        # value - bound vanishes on every saturating CG row, so rank <= D;
+        # at (5,2) some coset types are shared by several cosets
         sizes = []
+        character_blocks = polytope._character_blocks
 
-        def full_rank(block, p):
-            sizes.append(block.shape[0])
-            return block.shape[0]
+        def spy(indicator, parties, p):
+            for count, block in character_blocks(indicator, parties, p):
+                sizes.append((count, block.shape[0]))
+                yield count, block
 
-        monkeypatch.setattr(polytope, "modular_rank", full_rank)
+        monkeypatch.setattr(polytope, "_character_blocks", spy)
+        monkeypatch.setattr(polytope, "modular_rank", lambda block, p: block.shape[0])
         with pytest.raises(NumericError):
-            facet_check(bell_expression(3, 2))
-        assert sum(sizes) == polytope_dimension(Scenario(3, 2)) + 1
+            facet_check(bell_expression(5, 2))
+        assert max(count for count, _ in sizes) > 1
+        assert sum(count * size for count, size in sizes) == polytope_dimension(Scenario(5, 2)) + 1
+
+    def test_fallback_walks_every_strategy_within_the_budget(self):
+        # the scan covers 3**4 strategies, the fallback 3**6 = 729
+        e = bell_expression(3, 3).with_bound(-4)
+        with pytest.raises(ResourceError, match="729 strategies"):
+            facet_check(e, budget=728)
+        report = facet_check(e, budget=729)
+        assert report.affine_rank == 26
+        assert not report.is_facet
 
     def test_partitioning_invariance(self):
         e = bell_expression(3, 3)
@@ -520,6 +534,56 @@ def character_rows(scenario, indices, p, w):
     return powers[phase]
 
 
+def coset_blocks(indicator, parties, p):
+    """Oracle route: (rows, cols, block) for each coset C of im(phi^T), one by one.
+
+    Frequencies are numbered in CG coordinate order; rows lists those in C,
+    cols those in -C, and block[i, j] is S^ at kappa = rows[i] + cols[j] on
+    parties 0, 1, mod p.  It builds N * (2d-1)**N-entry tables, so it only
+    serves small cases.
+    """
+    d = indicator.shape[0]
+    w = polytope._unit_root(p, d)
+    dft = np.array([pow(w, k, p) for k in range(d)])[np.outer(range(d), range(d)) % d]
+    shat = indicator
+    for _ in range(4):
+        shat = np.tensordot(shat, dft, axes=([0], [1])) % p
+    shat = shat.ravel()
+
+    pairs = np.array(frequency_pairs(d))
+    pair_sum = ((pairs[:, None, :] + pairs[None, :, :]) % d) @ [1, d]
+    party = np.indices((2 * d - 1,) * parties).reshape(parties, -1)
+    # a coset is fixed by each later party's offset from party 0 or 1
+    freq = pairs[party]
+    diff = (freq[2:] - freq[np.arange(2, parties) % 2]) % d
+    diff = diff.transpose(1, 0, 2).reshape(party.shape[1], -1)
+    weights = d ** np.arange(diff.shape[1], dtype=np.int64)
+    key, neg = diff @ weights, (-diff % d) @ weights
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    cosets = dict(zip(keys.tolist(), np.split(order, starts[1:])))
+    for rows in cosets.values():
+        cols = cosets[int(neg[rows[0]])]
+        kappa = [pair_sum[party[j][rows][:, None], party[j][cols]] for j in (0, 1)]
+        yield rows, cols, shat[kappa[0] + d * d * kappa[1]]
+
+
+def type_rank_sum(indicator, parties, p):
+    blocks = polytope._character_blocks(indicator, parties, p)
+    return sum(count * modular_rank(block, p) for count, block in blocks)
+
+
+def coset_rank_sum(indicator, parties, p):
+    return sum(modular_rank(block, p) for _, _, block in coset_blocks(indicator, parties, p))
+
+
+def expression_indicator(n, d, family=None, bound=None):
+    e = bell_expression(n, d, family) if family else bell_expression(n, d)
+    if bound is not None:
+        e = e.with_bound(bound)
+    return e, polytope._saturating_indicator(e, int(e.bound * (d - 1)))
+
+
 class TestCharacterBlocks:
     @pytest.mark.parametrize(
         "n,d,family,bound",
@@ -532,14 +596,49 @@ class TestCharacterBlocks:
         ],
     )
     def test_block_rank_sum_equals_gram_rank(self, n, d, family, bound):
-        e = bell_expression(n, d, family) if family else bell_expression(n, d)
-        if bound is not None:
-            e = e.with_bound(bound)
+        e, indicator = expression_indicator(n, d, family, bound)
         gram = saturating_gram(e)
-        indicator = polytope._saturating_indicator(e, int(e.bound * (d - 1)))
         for p in polytope._primes(d):
+            assert type_rank_sum(indicator, n, p) == modular_rank(gram, p)
+
+    @pytest.mark.parametrize(
+        "n,d,family,bound",
+        [
+            # the benchmark's tightness cases
+            (3, 2, None, None), (3, 3, None, None), (3, 4, None, None), (3, 5, None, None),
+            (4, 2, None, None), (4, 3, None, None), (5, 2, None, None),
+            # the README's cases
+            (2, 10, None, None), (6, 2, None, None), (3, 6, None, None), (7, 2, None, None),
+            (4, 4, None, None), (5, 3, None, None), (3, 7, None, None), (3, 8, None, None),
+            (8, 2, None, None), (4, 5, None, None), (6, 3, None, None), (5, 4, None, None),
+            (2, 2, BIPARTITE_LEGACY, None), (2, 4, BIPARTITE_LEGACY, None),
+            *[(n, d, None, bound) for n, d, bound in DEFICIENT],
+        ],
+    )
+    def test_type_sum_equals_coset_sum(self, n, d, family, bound):
+        _, indicator = expression_indicator(n, d, family, bound)
+        for p in polytope._primes(d):
+            assert type_rank_sum(indicator, n, p) == coset_rank_sum(indicator, n, p)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 4))
+    def test_type_sum_equals_coset_sum_on_any_face(self, data, d):
+        # any 0/1 set of (2,d) strategies, most of them not a facet's
+        n = data.draw(st.integers(2, 5))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        density = data.draw(st.sampled_from([0.02, 0.1, 0.5]))
+        indicator = (np.random.default_rng(seed).random((d,) * 4) < density).astype(np.int64)
+        p = data.draw(st.sampled_from(polytope._primes(d)))
+        assert type_rank_sum(indicator, n, p) == coset_rank_sum(indicator, n, p)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_every_frequency_lies_in_one_coset(self, d):
+        # sum over types of count * |A| * |B| counts each frequency once
+        indicator = np.zeros((d,) * 4, dtype=np.int64)
+        p = polytope._primes(d)[0]
+        for n in range(2, 41):
             blocks = polytope._character_blocks(indicator, n, p)
-            assert sum(modular_rank(block, p) for _, _, block in blocks) == modular_rank(gram, p)
+            assert sum(count * block.shape[0] for count, block in blocks) == (2 * d - 1) ** n
 
     @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2)])
     def test_change_of_basis_and_coset_pairing(self, n, d):
@@ -563,7 +662,7 @@ class TestCharacterBlocks:
             covered = np.zeros(g.shape, dtype=bool)
             row_count = np.zeros(g.shape[0], dtype=np.int64)
             indicator = polytope._saturating_indicator(e, 2 * (d - 1))
-            for rows, cols, block in polytope._character_blocks(indicator, n, p):
+            for rows, cols, block in coset_blocks(indicator, n, p):
                 assert np.array_equal(g[np.ix_(rows, cols)], scale * block % p)
                 covered[np.ix_(rows, cols)] = True
                 row_count[rows] += 1
@@ -592,7 +691,7 @@ class TestCharacterBlocks:
         monkeypatch.setattr(polytope, "IntegerRankAccumulator", NoFallback)
         e = bell_expression(n, d)
         dim = polytope_dimension(e.scenario)
-        assert polytope._affine_rank(e, 2 * (d - 1), strategy_count(e.scenario)) == dim - 1
+        assert polytope._affine_rank(e, 2 * (d - 1), polytope.DEFAULT_BUDGET) == dim - 1
         assert 0 < max(widths) <= (2 * d - 1) ** 2
         assert sum(hi - lo for lo, hi in ranges) <= d**4
 

@@ -128,13 +128,7 @@ def parse_state(
             )
         if not args.strip():
             return family
-        angles = [parse_angle(tok) for tok in args.split(",")]
-        if len(angles) != len(family.param_names):
-            raise DomainError(
-                f"family {name} needs {len(family.param_names)} angles "
-                f"({', '.join(family.param_names)}), got {len(angles)}"
-            )
-        return family.build(angles)
+        return family.build([parse_angle(tok) for tok in args.split(",")])
     raise DomainError(
         f"unknown state descriptor {name!r}; known families: "
         f"{sorted(STATE_FAMILIES)} plus ghz_max and amps"

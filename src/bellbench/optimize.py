@@ -18,15 +18,14 @@ from .errors import DomainError
 from .parallel import parallel_map
 from .scenario import BellExpression, Scenario
 from .quantum import (
+    STATE_FAMILIES,
     PhaseConfiguration,
+    StateFamily,
     StateVector,
     _expression_hessian,
     _expression_value_and_gradient,
     bell_operator,
-    ghz_qubit,
-    ghz_qutrit,
     max_eigenpair,
-    w_state,
 )
 
 MAX_SEESAW_SWEEPS = 100
@@ -67,46 +66,6 @@ class OptimizerConfig:
             raise DomainError(
                 "tolerance, step, and iteration cap must be positive and finite"
             )
-
-
-@dataclass(frozen=True)
-class StateFamily:
-    """Named parametric family of pure states for family-level optimization.
-
-    Every amplitude of build(angles) must be a*cos + b*sin + c in each angle
-    (a, b, c free in the other angles), so that derivatives is exact.
-    """
-
-    name: str
-    param_names: tuple[str, ...]
-    scenario: Scenario
-    build: Callable[[Sequence[float]], StateVector]
-
-    def derivatives(self, angles: np.ndarray) -> np.ndarray:
-        """Row k is d psi / d angle_k, by the shift rule
-        (psi(a + pi/2) - psi(a - pi/2)) / 2, exact under the contract above."""
-        rows = []
-        for shift in np.eye(len(self.param_names)) * (np.pi / 2):
-            up = self.build(angles + shift).amplitudes
-            down = self.build(angles - shift).amplitudes
-            rows.append((up - down) / 2)
-        return np.array(rows, dtype=np.complex128).reshape(-1, self.scenario.dimension)
-
-
-STATE_FAMILIES: dict[str, StateFamily] = {
-    "ghz_qubit": StateFamily(
-        "ghz_qubit", ("theta",), Scenario(3, 2), lambda a: ghz_qubit(a[0])
-    ),
-    "ghz_qutrit": StateFamily(
-        "ghz_qutrit",
-        ("theta_1", "theta_2"),
-        Scenario(3, 3),
-        lambda a: ghz_qutrit(a[0], a[1]),
-    ),
-    "w_state": StateFamily(
-        "w_state", ("beta", "xi"), Scenario(3, 2), lambda a: w_state(a[0], a[1])
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -164,6 +123,10 @@ def _config_from_params(x: np.ndarray, scenario: Scenario) -> PhaseConfiguration
     return PhaseConfiguration(scenario, _phase_vectors(wrap_angle(x), scenario))
 
 
+class _BudgetSpent(Exception):
+    """Raised by _gradient_max's objective on the call past max_iterations."""
+
+
 def _gradient_max(
     objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
@@ -171,28 +134,29 @@ def _gradient_max(
 ) -> tuple[np.ndarray, float, bool, int]:
     """L-BFGS-B on an analytic gradient, maximizing; returns (x, value,
     success, evaluations), each value-and-gradient call counting as one
-    evaluation.  With no parameters the objective is read once."""
+    evaluation.  With no parameters the objective is read once.  The
+    objective counts the calls, since scipy's maxfun is checked only between
+    iterations: past max_iterations the search stops unconverged and returns
+    the best point it read."""
     x0 = np.asarray(x0, dtype=float)
     if x0.size == 0:
         return x0, objective_and_gradient(x0)[0], True, 1
+    read: list[tuple[float, np.ndarray]] = []
 
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        if len(read) == config.max_iterations:
+            raise _BudgetSpent
         value, gradient = objective_and_gradient(x)
+        read.append((value, x.copy()))
         return -value, -gradient
 
-    res = minimize(
-        negated,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "ftol": config.tol,
-            "gtol": config.tol,
-            "maxiter": config.max_iterations,
-            "maxfun": config.max_iterations,
-        },
-    )
-    return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), int(res.nfev)
+    try:
+        options = {"ftol": config.tol, "gtol": config.tol}
+        res = minimize(negated, x0, jac=True, method="L-BFGS-B", options=options)
+    except _BudgetSpent:
+        value, x = max(read, key=lambda r: r[0])
+        return x, value, False, len(read)
+    return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), len(read)
 
 
 def _difference_hessian(
@@ -469,11 +433,6 @@ class SweepRow:
     converged: bool
 
 
-def derived_seed(seed: int, index: int) -> int:
-    """Deterministic per-task seed from (run seed, task index)."""
-    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
-
-
 def sweep(
     family: Union[str, StateFamily],
     grid: Sequence[Sequence[float]],
@@ -481,22 +440,17 @@ def sweep(
     config: Optional[OptimizerConfig] = None,
     threads: int = 1,
 ) -> list[SweepRow]:
-    """Independent phase optimization at each grid point, rows in grid order."""
+    """Phase optimization at each grid point with the same config, rows in
+    grid order; every state is built first, so a bad point fails early."""
     config = config or OptimizerConfig()
     fam = _resolve_family(family)
     points = [tuple(float(v) for v in np.atleast_1d(p)) for p in grid]
     if not points:
         raise DomainError("sweep grid must not be empty")
-    for p in points:
-        if len(p) != len(fam.param_names):
-            raise DomainError(
-                f"grid point {p} has {len(p)} values, family {fam.name} "
-                f"needs {len(fam.param_names)}"
-            )
+    states = [fam.build(p) for p in points]
 
     def one_point(i: int) -> SweepRow:
-        point_config = replace(config, seed=derived_seed(config.seed, i))
-        result = optimize_phases(fam.build(points[i]), expression, point_config)
+        result = optimize_phases(states[i], expression, config)
         return SweepRow(points[i], result.best_value, result.converged)
 
     return parallel_map(threads, one_point, range(len(points)))

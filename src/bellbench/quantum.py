@@ -390,23 +390,78 @@ def max_eigenpair(
     return lam, StateVector(sc, amplitudes)
 
 
+def _hyperspherical(angles: np.ndarray) -> np.ndarray:
+    """cos a_0, sin a_0 cos a_1, ..., sin a_0 ... sin a_{k-1} along the last
+    axis: k angles give k + 1 coefficients with unit sum of squares."""
+    coefficients = np.ones(angles.shape[:-1] + (angles.shape[-1] + 1,))
+    coefficients[..., :-1] = np.cos(angles)
+    coefficients[..., 1:] *= np.cumprod(np.sin(angles), axis=-1)
+    return coefficients
+
+
+@dataclass(frozen=True)
+class StateFamily:
+    """Named family of pure states in hyperspherical angles: build puts the
+    _hyperspherical coefficients of k angles, in order, on the k + 1 flat
+    basis indices of support."""
+
+    name: str
+    param_names: tuple[str, ...]
+    scenario: Scenario
+    support: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        size = len(self.param_names) + 1
+        inside = all(0 <= i < self.scenario.dimension for i in self.support)
+        if len(self.support) != size or len(set(self.support)) != size or not inside:
+            raise DomainError(
+                f"family {self.name} needs {size} distinct basis indices below "
+                f"{self.scenario.dimension}, got {self.support}"
+            )
+
+    def _angles(self, angles: Sequence[float]) -> np.ndarray:
+        a = np.asarray(angles, dtype=float).reshape(-1)
+        if a.size != len(self.param_names):
+            raise DomainError(
+                f"family {self.name} needs {len(self.param_names)} angles "
+                f"({', '.join(self.param_names)}), got {a.size}"
+            )
+        return a
+
+    def build(self, angles: Sequence[float]) -> StateVector:
+        amps = np.zeros(self.scenario.dimension, dtype=np.complex128)
+        amps[list(self.support)] = _hyperspherical(self._angles(angles))
+        return StateVector(self.scenario, amps)
+
+    def derivatives(self, angles: Sequence[float]) -> np.ndarray:
+        """Row k is d psi / d angle_k: angle k is one cos or sin factor of
+        coefficient i >= k and absent below, so row k is the coefficients at
+        angles + (pi/2) e_k, zeroed below k."""
+        a = self._angles(angles)
+        shifted = _hyperspherical(a + np.eye(a.size) * (np.pi / 2))
+        rows = np.zeros((a.size, self.scenario.dimension), dtype=np.complex128)
+        rows[:, list(self.support)] = np.triu(shifted)
+        return rows
+
+
+STATE_FAMILIES: dict[str, StateFamily] = {
+    family.name: family
+    for family in (
+        StateFamily("ghz_qubit", ("theta",), Scenario(3, 2), (0, 7)),
+        StateFamily("ghz_qutrit", ("theta_1", "theta_2"), Scenario(3, 3), (26, 13, 0)),
+        StateFamily("w_state", ("beta", "xi"), Scenario(3, 2), (4, 2, 1)),
+    )
+}
+
+
 def ghz_qubit(theta: float) -> StateVector:
     """cos(theta)|000> + sin(theta)|111> on three qubits."""
-    sc = Scenario(3, 2)
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = np.cos(theta)
-    amps[7] = np.sin(theta)
-    return StateVector(sc, amps)
+    return STATE_FAMILIES["ghz_qubit"].build((theta,))
 
 
 def ghz_qutrit(theta_1: float, theta_2: float) -> StateVector:
     """sin(t1)sin(t2)|000> + sin(t1)cos(t2)|111> + cos(t1)|222>."""
-    sc = Scenario(3, 3)
-    amps = np.zeros(27, dtype=np.complex128)
-    amps[0] = np.sin(theta_1) * np.sin(theta_2)
-    amps[13] = np.sin(theta_1) * np.cos(theta_2)
-    amps[26] = np.cos(theta_1)
-    return StateVector(sc, amps)
+    return STATE_FAMILIES["ghz_qutrit"].build((theta_1, theta_2))
 
 
 def ghz_max(parties: int, outcomes: int) -> StateVector:
@@ -422,12 +477,7 @@ def ghz_max(parties: int, outcomes: int) -> StateVector:
 
 def w_state(beta: float, xi: float) -> StateVector:
     """sin(b)sin(x)|001> + sin(b)cos(x)|010> + cos(b)|100> on three qubits."""
-    sc = Scenario(3, 2)
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[1] = np.sin(beta) * np.sin(xi)
-    amps[2] = np.sin(beta) * np.cos(xi)
-    amps[4] = np.cos(beta)
-    return StateVector(sc, amps)
+    return STATE_FAMILIES["w_state"].build((beta, xi))
 
 
 def noise_threshold(violation: float) -> float:

@@ -101,6 +101,10 @@ class TestParseState:
         with pytest.raises(DomainError):
             parse_state("teleport:1", Scenario(3, 2))
 
+    def test_family_wrong_angle_count(self):
+        with pytest.raises(DomainError, match=r"needs 1 angles \(theta\), got 2"):
+            parse_state("ghz_qubit:1,2", Scenario(3, 2))
+
     def test_family_wrong_scenario(self):
         with pytest.raises(DomainError):
             parse_state("ghz_qutrit:1,2", Scenario(3, 2))

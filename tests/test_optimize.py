@@ -13,7 +13,6 @@ from bellbench.optimize import (
     STATE_FAMILIES,
     OptimizerConfig,
     StateFamily,
-    derived_seed,
     optimize_phases,
     optimize_state_family,
     seesaw,
@@ -22,7 +21,6 @@ from bellbench.optimize import (
 )
 from bellbench.quantum import (
     PhaseConfiguration,
-    StateVector,
     bell_operator,
     ghz_max,
     ghz_qubit,
@@ -112,6 +110,32 @@ class TestOptimizePhases:
         with pytest.raises(DomainError):
             optimize_phases(ghz_qubit(0.5), bell_expression(3, 3))
 
+
+    def test_max_iterations_bounds_every_start(self, monkeypatch):
+        # L-BFGS-B checks maxfun only between iterations, so a line search
+        # overran it; the bound is now counted inside the objective, and a
+        # capped start returns the best point it read
+        runs = []
+        original = optimize.multistart
+
+        def spy(*args, **kwargs):
+            runs.append(original(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optimize, "multistart", spy)
+        state, e = ghz_max(4, 2), bell_expression(4, 2)
+        config = OptimizerConfig(starts=3, seed=2, max_iterations=3)
+        result = optimize_phases(state, e, config)
+        [(_, per_start)] = runs
+        assert all(r[3] <= 3 for r in per_start)
+        assert result.evaluations == sum(r[3] for r in per_start)
+        capped = [r for r in per_start if not r[2]]
+        assert capped
+        for x, value, *_ in capped:
+            phases = optimize._config_from_params(x, e.scenario)
+            assert abs(quantum_bell_value(state, phases, e) - value) < 1e-12
+        rescored = quantum_bell_value(state, result.best_phases, e)
+        assert abs(rescored - result.best_value) < 1e-12
 
     def test_converged_starts_counts_every_start(self, monkeypatch):
         # start 0 (all phases zero) converges at once on a stationary point,
@@ -281,11 +305,10 @@ class TestStateFamilies:
     def test_family_without_angles(self):
         # nothing to search: every start is the one evaluation at the fixed point
         e = bell_expression(3, 2)
-        family = StateFamily("ghz_balanced", (), e.scenario, lambda a: ghz_qubit(PI / 4))
-        result = optimize_state_family(
-            family, e, OptimizerConfig(starts=2, seed=1), phases=PhaseConfiguration.zeros(e.scenario)
-        )
-        assert abs(result.best_value - 2) < 1e-12
+        family = StateFamily("ground", (), e.scenario, (0,))
+        phases = PhaseConfiguration.zeros(e.scenario)
+        result = optimize_state_family(family, e, OptimizerConfig(starts=2, seed=1), phases=phases)
+        assert result.best_value == quantum_bell_value(family.build(()), phases, e)
         assert result.converged and result.evaluations == 2
         assert result.family_angles == {}
 
@@ -340,8 +363,7 @@ class TestSweep:
         e = bell_expression(3, 2)
         config = OptimizerConfig(starts=4, seed=6)
         rows = sweep("ghz_qubit", [(0.6,)], e, config)
-        point_config = OptimizerConfig(starts=4, seed=derived_seed(6, 0))
-        direct = optimize_phases(ghz_qubit(0.6), e, point_config)
+        direct = optimize_phases(ghz_qubit(0.6), e, config)
         assert rows[0].best_value == direct.best_value
 
     def test_threads_do_not_change_rows(self):
@@ -356,9 +378,13 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep("ghz_qubit", [], bell_expression(3, 2))
 
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(DomainError):
-            sweep("ghz_qutrit", [(0.5,)], bell_expression(3, 3))
+    def test_wrong_arity_rejected(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a search ran before the grid was checked")
+
+        monkeypatch.setattr(optimize, "optimize_phases", forbidden)
+        with pytest.raises(DomainError, match="needs 2 angles"):
+            sweep("ghz_qutrit", [(0.5, 0.5), (0.5,)], bell_expression(3, 3))
 
 
 class TestOptimizerConfig:
@@ -427,17 +453,10 @@ class TestMultistartContract:
         assert np.array_equal(best[0], np.zeros(2)) and best[4] == "extra"
 
 
-def ghz4_qubit(angles):
-    """cos(theta)|0000> + sin(theta)|1111>."""
-    amps = np.zeros(16)
-    amps[0], amps[15] = np.cos(angles[0]), np.sin(angles[0])
-    return StateVector(Scenario(4, 2), amps)
-
-
 class TestOneSplitterRoute:
     @pytest.mark.parametrize(
         "family",
-        [STATE_FAMILIES["ghz_qutrit"], StateFamily("ghz4", ("theta",), Scenario(4, 2), ghz4_qubit)],
+        [STATE_FAMILIES["ghz_qutrit"], StateFamily("ghz4", ("theta",), Scenario(4, 2), (0, 15))],
         ids=["3-3", "4-2"],
     )
     def test_searches_never_reach_the_tensor_route(self, monkeypatch, family):

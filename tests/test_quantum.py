@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import bellbench.quantum
 from bellbench import (
     DomainError,
     ProbabilityTable,
@@ -17,7 +18,9 @@ from bellbench.optimize import _difference_hessian
 from bellbench.scenario import BIPARTITE_LEGACY, MULTIPARTITE, weight_numerators
 from bellbench.quantum import (
     BellOperator,
+    STATE_FAMILIES,
     PhaseConfiguration,
+    StateFamily,
     StateVector,
     _expression_hessian,
     _expression_value_and_gradient,
@@ -495,6 +498,107 @@ class TestStateFactories:
     def test_ghz_max_budget(self):
         with pytest.raises(ResourceError):
             ghz_max(21, 2)
+
+
+def oracle_ghz_qubit(theta):
+    """The hand-indexed factory the family record replaced."""
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[0] = np.cos(theta)
+    amps[7] = np.sin(theta)
+    return StateVector(Scenario(3, 2), amps)
+
+
+def oracle_ghz_qutrit(theta_1, theta_2):
+    amps = np.zeros(27, dtype=np.complex128)
+    amps[0] = np.sin(theta_1) * np.sin(theta_2)
+    amps[13] = np.sin(theta_1) * np.cos(theta_2)
+    amps[26] = np.cos(theta_1)
+    return StateVector(Scenario(3, 3), amps)
+
+
+def oracle_w_state(beta, xi):
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[1] = np.sin(beta) * np.sin(xi)
+    amps[2] = np.sin(beta) * np.cos(xi)
+    amps[4] = np.cos(beta)
+    return StateVector(Scenario(3, 2), amps)
+
+
+ORACLE_FACTORIES = {
+    "ghz_qubit": (ghz_qubit, oracle_ghz_qubit),
+    "ghz_qutrit": (ghz_qutrit, oracle_ghz_qutrit),
+    "w_state": (w_state, oracle_w_state),
+}
+
+
+def shift_rule(build, angles):
+    """Oracle: row k is (psi(a + pi/2 e_k) - psi(a - pi/2 e_k)) / 2, exact
+    when every amplitude is a cos + b sin + c in each angle."""
+    rows = []
+    for shift in np.eye(angles.size) * (PI / 2):
+        rows.append((build(*(angles + shift)).amplitudes - build(*(angles - shift)).amplitudes) / 2)
+    return np.array(rows)
+
+
+class TestStateFamily:
+    @pytest.mark.parametrize("name", sorted(ORACLE_FACTORIES))
+    def test_factories_match_the_hand_indexed_oracles_bit_for_bit(self, name):
+        factory, oracle = ORACLE_FACTORIES[name]
+        family = STATE_FAMILIES[name]
+        rng = np.random.default_rng(31)
+        for angles in rng.uniform(-2 * PI, 2 * PI, (1000, len(family.param_names))):
+            expected = oracle(*angles).amplitudes
+            assert np.array_equal(factory(*angles).amplitudes, expected)
+            assert np.array_equal(family.build(angles).amplitudes, expected)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FACTORIES))
+    def test_derivatives_match_the_shift_rule(self, name):
+        family = STATE_FAMILIES[name]
+        rng = np.random.default_rng(32)
+        for angles in rng.uniform(-2 * PI, 2 * PI, (1000, len(family.param_names))):
+            expected = shift_rule(ORACLE_FACTORIES[name][1], angles)
+            assert np.abs(family.derivatives(angles) - expected).max() < 1e-15
+
+    def test_four_angles_match_central_differences(self):
+        # five basis states at (3,3): a depth no named family reaches
+        family = StateFamily("five", ("a", "b", "c", "e"), Scenario(3, 3), (26, 3, 13, 0, 17))
+        rng = np.random.default_rng(33)
+        h = 1e-6
+        for _ in range(10):
+            angles = rng.uniform(-PI, PI, 4)
+            rows = family.derivatives(angles)
+            assert rows.shape == (4, 27)
+            assert abs(np.linalg.norm(family.build(angles).amplitudes) - 1) < 1e-12
+            for k in range(4):
+                step = np.zeros(4)
+                step[k] = h
+                up = family.build(angles + step).amplitudes
+                down = family.build(angles - step).amplitudes
+                assert np.abs(rows[k] - (up - down) / (2 * h)).max() < 1e-8
+
+    def test_derivatives_build_no_state(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("derivatives built a state")
+
+        family = STATE_FAMILIES["ghz_qutrit"]
+        expected = family.derivatives(np.array([0.3, 0.7]))
+        monkeypatch.setattr(StateFamily, "build", forbidden)
+        monkeypatch.setattr(bellbench.quantum, "StateVector", forbidden)
+        assert np.array_equal(family.derivatives(np.array([0.3, 0.7])), expected)
+
+    @pytest.mark.parametrize("support", [(0,), (0, 7, 1), (7, 7), (0, 8), (-1, 7)])
+    def test_support_validated(self, support):
+        # one index per coefficient, distinct, each a basis state of (3,2)
+        with pytest.raises(DomainError, match="needs 2 distinct basis indices below 8"):
+            StateFamily("bad", ("theta",), Scenario(3, 2), support)
+
+    def test_angle_count_validated(self):
+        family = STATE_FAMILIES["ghz_qutrit"]
+        message = r"family ghz_qutrit needs 2 angles \(theta_1, theta_2\), got 3"
+        with pytest.raises(DomainError, match=message):
+            family.build([0.1, 0.2, 0.3])
+        with pytest.raises(DomainError, match=message):
+            family.derivatives(np.array([0.1, 0.2, 0.3]))
 
 
 class TestNoise:

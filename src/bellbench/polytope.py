@@ -5,16 +5,14 @@ least significant) so the work can be partitioned into contiguous index
 ranges whose partial results merge deterministically.  Only two-party
 maxima are scanned in chunks: for N > 2 the value spectrum is the (2,d)
 one scaled by d**(2N-4) (see classical_maximum).  All classical values
-are exact rationals.  The facet rank is certified exactly modulo a prime,
-one character-sum block per coset type (see _affine_rank), with an exact
-integer rank as the fallback for deficient ranks.
+are exact rationals.  The facet rank is certified exactly modulo a prime
+from one character-sum block, the zero coset's, and its kernel vector, for
+every N at once (see _affine_rank), with an exact integer rank as the fallback.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -393,19 +391,22 @@ def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def modular_rank(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of an integer matrix, for a prime p < 2**21 (see _primes).
+def modular_kernel(matrix: np.ndarray, p: int) -> tuple[int, Optional[np.ndarray]]:
+    """Rank over GF(p) of an integer matrix, for a prime p < 2**21 (see _primes),
+    and a nonzero kernel vector, or None if the columns are independent.
 
     Right-looking blocked LU on residues held in float64.  Each panel of at
     most _PANEL columns is eliminated with row pivoting; multipliers are
     stored in place of the eliminated entries, so whole-row swaps carry them.
     The trailing update is one matmul reduced mod p.  Every stored value,
     product and sum is an integer below 2**48, reduced exactly by
-    _reduce_mod, so the result involves no float tolerance.
+    _reduce_mod, so the result involves no float tolerance.  The kernel
+    vector is 1 at the first non-pivot column f, 0 past it, and solves U's
+    leading f x f triangle by back-substitution in int64 (products < 2**42).
     """
     a = np.mod(matrix, p).astype(np.float64, copy=False)
     n, m = a.shape
-    rank = 0
+    rank, pivots = 0, []
     for j0 in range(0, m, _PANEL):
         j1 = min(j0 + _PANEL, m)
         top = rank
@@ -427,7 +428,8 @@ def modular_rank(matrix: np.ndarray, p: int) -> int:
             )
             cols.append(c)
             rank += 1
-        if rank == top or rank == n or j1 == m:
+        pivots += cols
+        if rank == top or j1 == m:
             continue
         # U12 = L11^-1 A12 by forward substitution, then A22 -= L21 U12.
         upper = a[top:rank, j1:]
@@ -436,7 +438,15 @@ def modular_rank(matrix: np.ndarray, p: int) -> int:
         trailing = a[rank:, cols] @ upper
         np.subtract(a[rank:, j1:], trailing, out=trailing)
         a[rank:, j1:] = _reduce_mod(trailing, p)
-    return rank
+    free = next((i for i, c in enumerate(pivots) if c != i), rank)
+    if free == m:
+        return rank, None
+    u = a[:free, : free + 1].astype(np.int64)
+    x = np.zeros(m, dtype=np.int64)
+    x[free] = 1
+    for c in reversed(range(free)):
+        x[c] = -int(u[c, c + 1 :] @ x[c + 1 : free + 1]) * pow(int(u[c, c]), -1, p) % p
+    return rank, x
 
 
 def _saturating_blocks(
@@ -482,7 +492,7 @@ def _streamed_affine_rank(
 
 @lru_cache(maxsize=None)
 def _primes(d: int) -> tuple[int, int]:
-    """The two largest primes p < 2**21, where modular_rank is exact (its sums
+    """The two largest primes p < 2**21, where modular_kernel is exact (its sums
     of products stay below 2**48), with p = 1 (mod d), so GF(p) has w**d = 1.
     """
     top = (2**21 - 2) // d * d + 1
@@ -507,18 +517,13 @@ def _saturating_indicator(expression: BellExpression, target_num: int) -> np.nda
     return indicator.reshape((d,) * 4)
 
 
-def _character_blocks(
-    indicator: np.ndarray, parties: int, p: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(count, block) for each type of coset C of im(phi^T) among the frequencies.
+def _zero_coset_certifies(indicator: np.ndarray, parties: int, p: int) -> bool:
+    """True if the zero coset's block certifies rank(M) = D at the prime p.
 
-    A frequency f has one pair (k1, k2), at most one nonzero, per party.  C is
-    fixed by each party j >= 2's offset x_j = f_j - f_(j mod 2) and holds the
-    f with f_0 in A, f_1 in B: A (B) is the set of pairs a with a + x_j a pair
-    for every even (odd) j.  -C is -A x -B, so C's block, rows (a, b) and
-    columns (-a', -b'), is S^ at kappa = (a - a', b - b') mod p: it depends on
-    C only through its type (A, B).  count, the number of cosets of that
-    type, comes from a dynamic program over the parties on the surviving set.
+    The block G has rows and columns (a, b) in P x P, P the 2d-1 Collins-Gisin
+    pairs of one party, and G[(a, b), (a', b')] = S^(a - a', b - b') mod p.
+    It certifies when its corank is 1 and no offset but 0 keeps both
+    projections of its kernel vector's support; see _affine_rank.
     """
     d = indicator.shape[0]
     w = _unit_root(p, d)
@@ -528,51 +533,54 @@ def _character_blocks(
     for _ in range(4):
         shat = np.tensordot(shat, dft, axes=([0], [1])) % p
     shat = shat.ravel()
-
     ks, zeros = np.arange(1, d), np.zeros(d - 1, dtype=np.int64)
     pairs = np.vstack([[0, 0], np.column_stack([ks, zeros]), np.column_stack([zeros, ks])])
-    pair_diff = ((pairs[:, None, :] - pairs[None, :, :]) % d) @ [1, d]
-    # how many offsets x keep each set of pairs (the a with a + x a pair)
-    keeps = Counter(
-        frozenset(np.flatnonzero(((pairs + x) % d == 0).any(axis=1)).tolist()) for x in np.ndindex(d, d)
-    )
-    sides = []
-    for offsets in ((parties + 1) // 2 - 1, parties // 2 - 1):
-        types = Counter({frozenset(range(2 * d - 1)): 1})
-        for _ in range(offsets):
-            step: Counter = Counter()
-            for (kept, count), (keep, ways) in itertools.product(types.items(), keeps.items()):
-                step[kept & keep] += count * ways
-            types = step
-        sides.append([(n, pair_diff[np.ix_(sorted(a), sorted(a))]) for a, n in types.items() if a])
-    for (count_a, kappa_a), (count_b, kappa_b) in itertools.product(*sides):
-        block = shat[kappa_a[:, None, :, None] + d * d * kappa_b[None, :, None, :]]
-        yield count_a * count_b, block.reshape(len(kappa_a) * len(kappa_b), -1)
+    size = len(pairs)
+    kappa = ((pairs[:, None, :] - pairs[None, :, :]) % d) @ [1, d]
+    gram = shat[kappa[:, None, :, None] + d * d * kappa[None, :, None, :]].reshape(size**2, -1)
+    rank, kernel = modular_kernel(gram, p)
+    if kernel is None:
+        raise NumericError(f"zero-coset block of full rank {rank} on a face")
+    if rank < size**2 - 1:
+        return False
+    support = np.flatnonzero(kernel)
+    # shifts[a, x]: pair a plus offset x is a pair; K(Z) is where shifts[Z] all hold
+    shifts = ((pairs[:, None] + np.indices((d, d)).reshape(2, -1).T) % d == 0).any(axis=2)
+    sides = ((support // size, (parties + 1) // 2 - 1), (support % size, parties // 2 - 1))
+    return all(count == 0 or shifts[z].all(axis=0).sum() == 1 for z, count in sides)
 
 
 def _affine_rank(expression: BellExpression, target_num: int, budget: int) -> int:
     """Affine rank of the saturating vertices, capped at D - 1.
 
-    With CG rows M (first coordinate 1), it is rank(M) - 1 >= rank_p(M^T M) - 1.
-    A per-party change of basis, invertible mod p, sends row s to the
-    characters w**<f, s>; the saturating set is phi^-1(S) (classical_maximum),
-    so M^T M becomes d**(2N-4) * S^(kappa) at f + g = phi^T kappa, else 0: one
-    block per coset, shared by the cosets of one type (_character_blocks).
+    With CG rows M (first coordinate 1) it is rank(M) - 1, and rank(M) <= D:
     value - bound, nonzero as no expression is constant on the vertices,
-    vanishes on every row, so rank(M) <= D and a count-weighted block-rank
-    sum of D certifies D - 1 exactly.  A deficient sum under both primes
-    falls back to the exact integer stream.
+    vanishes on every row.  The saturating set is phi^-1(S) (classical_maximum).
+    1. A per-party change of basis, invertible over C with w a primitive d-th
+       root of unity (and mod p), sends row s to the characters w**<f, s>;
+       M^T M becomes d**(2N-4) * S^(kappa) at f + g = phi^T kappa, else 0, so
+       rank(M) is the sum over the cosets of im(phi^T) of their blocks' ranks.
+    2. Party j >= 2's offset x_j from party j mod 2 fixes a coset; its block is
+       G[A x B, A x B], A (B) the pairs a with a + x_j a pair for every even
+       (odd) j, G the zero coset's block (_zero_coset_certifies).  Over C, G is
+       the Gram matrix of u_ab(s) = w**<(a, b), s>, s in S, so that block's
+       rank is dim span{u_i : i in A x B}.
+    3. rank_p(G) = |P|**2 - 1 leaves at most one relation c among the u's.  The
+       mod-p kernel vector z is a multiple of c's reduction (p = 1 mod d, and
+       Z[w] localised at a prime above p is a DVR), so supp(z) is in supp(c),
+       and every A x B missing a point of supp(z) has full rank over C.
+    4. With Z_a, Z_b the projections of supp(z) and K(Z) = {x : Z + x in P},
+       |K(Z_a)|**e * |K(Z_b)|**o cosets contain supp(z), e = ceil(N/2) - 1,
+       o = floor(N/2) - 1.  If that is 1, rank(M) >= (D + 1) - 1 = D, and the
+       affine rank is D - 1 exactly.  N enters only through e, o > 0, so a
+       certificate at (4,d) holds for every N >= 2 at that d.
+    rank_p(G) = |P|**2 would make rank(M) = D + 1 and raises NumericError.
+    Without a certificate under both primes, the exact integer stream decides.
     """
     sc = expression.scenario
-    dim = polytope_dimension(sc)
     indicator = _saturating_indicator(expression, target_num)
-    for p in _primes(sc.outcomes):
-        blocks = _character_blocks(indicator, sc.parties, p)
-        rank = sum(count * modular_rank(block, p) for count, block in blocks)
-        if rank > dim:
-            raise NumericError(f"modular rank {rank} exceeds the bound {dim} on a face")
-        if rank == dim:
-            return dim - 1
+    if any(_zero_coset_certifies(indicator, sc.parties, p) for p in _primes(sc.outcomes)):
+        return polytope_dimension(sc) - 1
     return _streamed_affine_rank(expression, target_num, budget)
 
 
@@ -584,12 +592,13 @@ def facet_check(
     """Certify tightness: exact classical max plus exact affine rank.
 
     The affine rank of the saturating vertices (Bell value equal to the
-    bound) comes from modular ranks of the character blocks of their Gram
-    matrix, one block per coset type weighted by its count, with an exact
-    integer fallback when that rank is deficient (see _affine_rank).  A
-    bound that is never attained yields rank 0 and is_facet False rather
-    than an error.  The budget bounds the strategies actually walked: the
-    d**4 of the classical scan, and the d**(2N) of the fallback if it runs.
+    bound) comes from the mod-p rank and kernel vector of one (2d-1)**2-wide
+    character block of their Gram matrix, the zero coset's, whatever N is,
+    with an exact integer fallback when it does not certify (see
+    _affine_rank).  A bound that is never attained yields rank 0 and is_facet
+    False rather than an error.  The budget bounds the strategies actually
+    walked: the d**4 of the classical scan, and the d**(2N) of the fallback
+    if it runs; it does not bound the block's elimination.
     """
     sc = expression.scenario
     dim = polytope_dimension(sc)

@@ -330,7 +330,7 @@ class TestMainEntry:
         assert result["affine_rank"] == rank == result["dimension"] - 1
 
     def test_facet_at_forty_qutrits_certifies(self, tmp_path):
-        # (2d-1)**N = 5**40 frequencies, ranked as a few hundred coset types
+        # (2d-1)**N = 5**40 frequencies, certified by the zero coset's 25-wide block
         out = tmp_path / "report.json"
         start = time.perf_counter()
         assert main(["facet", "--n", "40", "--d", "3", "--no-timestamp", "--out", str(out)]) == EXIT_OK

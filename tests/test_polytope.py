@@ -1,6 +1,7 @@
 """Strategy enumeration, classical maxima, and facet certification."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from bellbench.polytope import (
     classical_maximum,
     enumerate_strategies,
     facet_check,
-    modular_rank,
+    modular_kernel,
     polytope_dimension,
     strategy_count,
     strategy_table,
@@ -33,6 +34,10 @@ from bellbench.polytope import (
 
 # every prime the facet certificate can use for d = 2..5
 PRIMES = tuple(sorted({p for d in range(2, 6) for p in polytope._primes(d)}))
+
+
+def modular_rank(matrix, p):
+    return modular_kernel(matrix, p)[0]
 
 
 def brute_force_values(expression):
@@ -352,6 +357,27 @@ class TestModularRank:
         for p in PRIMES:
             assert modular_rank(mat, p) == rank_mod_p_oracle(mat, p) == 60
 
+    @pytest.mark.parametrize(
+        "rows,cols", [(31, 31), (32, 32), (33, 33), (64, 64), (65, 65), (70, 70), (64, 65), (40, 80)]
+    )
+    def test_kernel_vector_across_panels(self, rows, cols):
+        # one column a combination of the others, placed before, on or past a
+        # panel boundary; (64, 65) leaves a full panel's rows with a free column
+        rng = np.random.default_rng(rows * cols)
+        for p in PRIMES[:3]:
+            for free in sorted({0, 31, 32, cols // 2, cols - 1} & set(range(cols))):
+                mat = rng.integers(-9, 10, size=(rows, cols))
+                mat[:, free] = np.delete(mat, free, axis=1) @ rng.integers(-3, 4, size=cols - 1)
+                rank, x = modular_kernel(mat, p)
+                assert rank == rank_mod_p_oracle(mat, p)
+                assert x is not None and x.any()
+                assert not (mat.astype(object) @ x.astype(object) % p).any()
+
+    def test_independent_columns_have_no_kernel_vector(self):
+        mat = np.random.default_rng(4).integers(-9, 10, size=(70, 65))
+        for p in PRIMES:
+            assert modular_kernel(mat, p) == (65, None)
+
     def test_reduce_mod_is_exact_below_2_pow_48(self):
         for p in PRIMES:
             near = [k * p + e for k in (0, 1, 2, 2**27 - 1, 2**48 // p) for e in (-1, 0, 1)]
@@ -364,6 +390,11 @@ class TestModularRank:
 
 # bounds whose saturating vertices span less than a facet
 DEFICIENT = [(2, 3, -4), (3, 3, -4), (2, 4, Fraction(-10, 3))]
+
+
+class NoFallback:
+    def __init__(self, length):
+        raise AssertionError("integer fallback reached")
 
 
 def saturating_cg_matrix(expression):
@@ -413,15 +444,21 @@ class TestFacetCheck:
         ],
     )
     def test_paper_cases_certify_without_fallback(self, n, d, count, monkeypatch):
-        class NoFallback:
-            def __init__(self, length):
-                raise AssertionError("integer fallback reached")
-
         monkeypatch.setattr(polytope, "IntegerRankAccumulator", NoFallback)
         report = facet_check(bell_expression(n, d))
         assert report.affine_rank == report.dimension - 1 == (2 * d - 1) ** n - 2
         assert report.is_facet
         assert report.saturating_count == count
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_facet_for_every_n(self, d, monkeypatch):
+        # the certificate reads N only through whether e and o are 0, so (4,d)
+        # certifying means every N >= 2 does (see polytope._affine_rank)
+        monkeypatch.setattr(polytope, "IntegerRankAccumulator", NoFallback)
+        for n in (4, 2, 3, 5, 9, 40):
+            report = facet_check(bell_expression(n, d))
+            assert report.affine_rank == report.dimension - 1 == (2 * d - 1) ** n - 2
+            assert report.is_facet
 
     @pytest.mark.parametrize("n,d,bound", DEFICIENT)
     def test_deficient_rank_reaches_exact_fallback(self, n, d, bound, monkeypatch):
@@ -443,22 +480,18 @@ class TestFacetCheck:
         assert not report.is_facet
 
     def test_modular_rank_above_dimension_raises(self, monkeypatch):
-        # value - bound vanishes on every saturating CG row, so rank <= D;
-        # at (5,2) some coset types are shared by several cosets
-        sizes = []
-        character_blocks = polytope._character_blocks
+        # value - bound vanishes on every saturating CG row, so rank <= D, and
+        # a zero-coset block of full rank would make every coset's full: D + 1
+        widths = []
 
-        def spy(indicator, parties, p):
-            for count, block in character_blocks(indicator, parties, p):
-                sizes.append((count, block.shape[0]))
-                yield count, block
+        def full_rank(matrix, p):
+            widths.append(matrix.shape[1])
+            return matrix.shape[1], None
 
-        monkeypatch.setattr(polytope, "_character_blocks", spy)
-        monkeypatch.setattr(polytope, "modular_rank", lambda block, p: block.shape[0])
-        with pytest.raises(NumericError):
+        monkeypatch.setattr(polytope, "modular_kernel", full_rank)
+        with pytest.raises(NumericError, match="full rank 9"):
             facet_check(bell_expression(5, 2))
-        assert max(count for count, _ in sizes) > 1
-        assert sum(count * size for count, size in sizes) == polytope_dimension(Scenario(5, 2)) + 1
+        assert widths == [9]
 
     def test_fallback_walks_every_strategy_within_the_budget(self):
         # the scan covers 3**4 strategies, the fallback 3**6 = 729
@@ -568,9 +601,47 @@ def coset_blocks(indicator, parties, p):
         yield rows, cols, shat[kappa[0] + d * d * kappa[1]]
 
 
+def type_blocks(indicator, parties, p):
+    """Oracle route: (count, block) for each type of coset C of im(phi^T).
+
+    A frequency f has one pair (k1, k2), at most one nonzero, per party.  C is
+    fixed by each party j >= 2's offset x_j = f_j - f_(j mod 2) and holds the
+    f with f_0 in A, f_1 in B: A (B) is the set of pairs a with a + x_j a pair
+    for every even (odd) j.  -C is -A x -B, so C's block, rows (a, b) and
+    columns (-a', -b'), is S^ at kappa = (a - a', b - b') mod p: it depends on
+    C only through its type (A, B).  count, the number of cosets of that
+    type, comes from a dynamic program over the parties on the surviving set.
+    """
+    d = indicator.shape[0]
+    w = polytope._unit_root(p, d)
+    dft = np.array([pow(w, k, p) for k in range(d)])[np.outer(range(d), range(d)) % d]
+    shat = indicator
+    for _ in range(4):
+        shat = np.tensordot(shat, dft, axes=([0], [1])) % p
+    shat = shat.ravel()
+
+    pairs = np.array(frequency_pairs(d))
+    pair_diff = ((pairs[:, None, :] - pairs[None, :, :]) % d) @ [1, d]
+    # how many offsets x keep each set of pairs (the a with a + x a pair)
+    keeps = Counter(
+        frozenset(np.flatnonzero(((pairs + x) % d == 0).any(axis=1)).tolist()) for x in np.ndindex(d, d)
+    )
+    sides = []
+    for offsets in ((parties + 1) // 2 - 1, parties // 2 - 1):
+        types = Counter({frozenset(range(2 * d - 1)): 1})
+        for _ in range(offsets):
+            step = Counter()
+            for (kept, count), (keep, ways) in itertools.product(types.items(), keeps.items()):
+                step[kept & keep] += count * ways
+            types = step
+        sides.append([(n, pair_diff[np.ix_(sorted(a), sorted(a))]) for a, n in types.items() if a])
+    for (count_a, kappa_a), (count_b, kappa_b) in itertools.product(*sides):
+        block = shat[kappa_a[:, None, :, None] + d * d * kappa_b[None, :, None, :]]
+        yield count_a * count_b, block.reshape(len(kappa_a) * len(kappa_b), -1)
+
+
 def type_rank_sum(indicator, parties, p):
-    blocks = polytope._character_blocks(indicator, parties, p)
-    return sum(count * modular_rank(block, p) for count, block in blocks)
+    return sum(count * modular_rank(block, p) for count, block in type_blocks(indicator, parties, p))
 
 
 def coset_rank_sum(indicator, parties, p):
@@ -582,6 +653,31 @@ def expression_indicator(n, d, family=None, bound=None):
     if bound is not None:
         e = e.with_bound(bound)
     return e, polytope._saturating_indicator(e, int(e.bound * (d - 1)))
+
+
+ORACLE_CASES = [
+    # the benchmark's tightness cases
+    (3, 2, None, None), (3, 3, None, None), (3, 4, None, None), (3, 5, None, None),
+    (4, 2, None, None), (4, 3, None, None), (5, 2, None, None),
+    # the README's cases
+    (2, 10, None, None), (6, 2, None, None), (3, 6, None, None), (7, 2, None, None),
+    (4, 4, None, None), (5, 3, None, None), (3, 7, None, None), (3, 8, None, None),
+    (8, 2, None, None), (4, 5, None, None), (6, 3, None, None), (5, 4, None, None),
+    (2, 2, BIPARTITE_LEGACY, None), (2, 4, BIPARTITE_LEGACY, None),
+    *[(n, d, None, bound) for n, d, bound in DEFICIENT],
+]
+
+# random (2,d) faces from a seeded search, as (d, saturating strategy indices,
+# the N in 2..5 that certify): at d = 3, Z_a admits no offset but 0 and Z_b does
+SUPPORT_FACES = [
+    (2, [4, 7, 8, 10, 11, 12, 13, 15], {2}),
+    (
+        3,
+        [0, 6, 9, 10, 11, 16, 18, 20, 23, 25, 26, 27, 32, 37, 42, 45,
+         50, 52, 55, 57, 58, 59, 60, 62, 63, 64, 65, 68, 69, 76, 78],
+        {2, 3},
+    ),
+]
 
 
 class TestCharacterBlocks:
@@ -601,20 +697,7 @@ class TestCharacterBlocks:
         for p in polytope._primes(d):
             assert type_rank_sum(indicator, n, p) == modular_rank(gram, p)
 
-    @pytest.mark.parametrize(
-        "n,d,family,bound",
-        [
-            # the benchmark's tightness cases
-            (3, 2, None, None), (3, 3, None, None), (3, 4, None, None), (3, 5, None, None),
-            (4, 2, None, None), (4, 3, None, None), (5, 2, None, None),
-            # the README's cases
-            (2, 10, None, None), (6, 2, None, None), (3, 6, None, None), (7, 2, None, None),
-            (4, 4, None, None), (5, 3, None, None), (3, 7, None, None), (3, 8, None, None),
-            (8, 2, None, None), (4, 5, None, None), (6, 3, None, None), (5, 4, None, None),
-            (2, 2, BIPARTITE_LEGACY, None), (2, 4, BIPARTITE_LEGACY, None),
-            *[(n, d, None, bound) for n, d, bound in DEFICIENT],
-        ],
-    )
+    @pytest.mark.parametrize("n,d,family,bound", ORACLE_CASES)
     def test_type_sum_equals_coset_sum(self, n, d, family, bound):
         _, indicator = expression_indicator(n, d, family, bound)
         for p in polytope._primes(d):
@@ -631,13 +714,46 @@ class TestCharacterBlocks:
         p = data.draw(st.sampled_from(polytope._primes(d)))
         assert type_rank_sum(indicator, n, p) == coset_rank_sum(indicator, n, p)
 
+    @pytest.mark.parametrize("n,d,family,bound", ORACLE_CASES)
+    def test_zero_coset_verdict_equals_type_sum(self, n, d, family, bound):
+        _, indicator = expression_indicator(n, d, family, bound)
+        dim = (2 * d - 1) ** n - 1
+        for p in polytope._primes(d):
+            assert polytope._zero_coset_certifies(indicator, n, p) == (type_rank_sum(indicator, n, p) == dim)
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 4))
+    def test_zero_coset_verdict_on_any_face(self, data, d):
+        n = data.draw(st.integers(2, 5))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        density = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.5]))
+        indicator = (np.random.default_rng(seed).random((d,) * 4) < density).astype(np.int64)
+        p = data.draw(st.sampled_from(polytope._primes(d)))
+        total, dim = type_rank_sum(indicator, n, p), (2 * d - 1) ** n - 1
+        if total > dim:
+            with pytest.raises(NumericError):
+                polytope._zero_coset_certifies(indicator, n, p)
+        else:
+            assert polytope._zero_coset_certifies(indicator, n, p) == (total == dim)
+
+    @pytest.mark.parametrize("d,hits,certified", SUPPORT_FACES)
+    def test_kernel_support_decides_past_two_parties(self, d, hits, certified):
+        indicator = np.zeros(d**4, dtype=np.int64)
+        indicator[hits] = 1
+        indicator = indicator.reshape((d,) * 4)
+        for n in (2, 3, 4, 5):
+            for p in polytope._primes(d):
+                verdict = polytope._zero_coset_certifies(indicator, n, p)
+                assert verdict == (n in certified)
+                assert verdict == (type_rank_sum(indicator, n, p) == (2 * d - 1) ** n - 1)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_every_frequency_lies_in_one_coset(self, d):
         # sum over types of count * |A| * |B| counts each frequency once
         indicator = np.zeros((d,) * 4, dtype=np.int64)
         p = polytope._primes(d)[0]
         for n in range(2, 41):
-            blocks = polytope._character_blocks(indicator, n, p)
+            blocks = type_blocks(indicator, n, p)
             assert sum(count * block.shape[0] for count, block in blocks) == (2 * d - 1) ** n
 
     @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2)])
@@ -672,27 +788,24 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("n,d", [(4, 3), (3, 5), (6, 2)])
     def test_certificate_stays_in_blocks(self, n, d, monkeypatch):
         widths, ranges = [], []
-        rank, numerators = polytope.modular_rank, polytope._value_numerators
+        kernel, numerators = polytope.modular_kernel, polytope._value_numerators
 
-        def rank_spy(block, p):
+        def kernel_spy(block, p):
             widths.append(block.shape[1])
-            return rank(block, p)
+            return kernel(block, p)
 
         def numerators_spy(expression, lo, hi):
             ranges.append((lo, hi))
             return numerators(expression, lo, hi)
 
-        class NoFallback:
-            def __init__(self, length):
-                raise AssertionError("integer fallback reached")
-
-        monkeypatch.setattr(polytope, "modular_rank", rank_spy)
+        monkeypatch.setattr(polytope, "modular_kernel", kernel_spy)
         monkeypatch.setattr(polytope, "_value_numerators", numerators_spy)
         monkeypatch.setattr(polytope, "IntegerRankAccumulator", NoFallback)
         e = bell_expression(n, d)
         dim = polytope_dimension(e.scenario)
         assert polytope._affine_rank(e, 2 * (d - 1), polytope.DEFAULT_BUDGET) == dim - 1
-        assert 0 < max(widths) <= (2 * d - 1) ** 2
+        # the first prime certifies: one elimination, of the zero coset's block
+        assert widths == [(2 * d - 1) ** 2]
         assert sum(hi - lo for lo, hi in ranges) <= d**4
 
     @pytest.mark.parametrize("d", range(2, 17))

@@ -31,11 +31,13 @@ from .quantum import (
 MAX_SEESAW_SWEEPS = 100
 
 # The searches' second-order escape: a top Hessian eigenvalue above the
-# threshold marks a stopping point as a saddle to step off.  The phase
-# searches read the exact Hessian; the family searches take it by central
-# differences of the analytic gradient with this step.
+# threshold marks a stopping point as a saddle to step off, by ESCAPE_STEP
+# along its eigenvector.  The phase searches read the exact Hessian; the
+# family searches take it by central differences of the analytic gradient
+# with CURVATURE_STEP.
 CURVATURE_STEP = 1e-4
 CURVATURE_THRESHOLD = 1e-6
+ESCAPE_STEP = 0.3
 
 
 def minimize(*args, **kwargs):
@@ -54,18 +56,14 @@ class OptimizerConfig:
     seed: int = 0
     tol: float = 1e-9
     max_iterations: int = 5000
-    initial_step: float = 0.3
 
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise DomainError("need at least one start")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
-        finite_positive = 0 < self.tol < math.inf and 0 < self.initial_step < math.inf
-        if not finite_positive or self.max_iterations < 1:
-            raise DomainError(
-                "tolerance, step, and iteration cap must be positive and finite"
-            )
+        if not 0 < self.tol < math.inf or self.max_iterations < 1:
+            raise DomainError("tolerance and iteration cap must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def _escaping_gradient_max(
     with a vanishing gradient that no single-axis step climbs out of (the
     zero-phase start on a degenerate eigenvector is one).  So at each stop
     the top eigenvalue of hessian(x) is read; if it is positive, one
-    initial_step along its eigenvector (the better sign, + on a tie) is
+    ESCAPE_STEP along its eigenvector (the better sign, + on a tie) is
     tried, and the search restarts there when the value rises by more than
     tol.  Every value-and-gradient call counts against max_iterations, and so
     does each probe, at probe_cost: 1 for the phase searches' exact Hessian
@@ -212,8 +210,8 @@ def _escaping_gradient_max(
         evaluations += probe_cost
         if curvatures[-1] <= CURVATURE_THRESHOLD:
             return x, value, ok, evaluations
-        up = x + config.initial_step * directions[:, -1]
-        down = x - config.initial_step * directions[:, -1]
+        up = x + ESCAPE_STEP * directions[:, -1]
+        down = x - ESCAPE_STEP * directions[:, -1]
         up_value = objective_and_gradient(up)[0]
         down_value = objective_and_gradient(down)[0]
         evaluations += 2

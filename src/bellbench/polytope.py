@@ -6,8 +6,8 @@ ranges whose partial results merge deterministically.  Only two-party
 maxima are scanned in chunks: for N > 2 the value spectrum is the (2,d)
 one scaled by d**(2N-4) (see classical_maximum).  All classical values
 are exact rationals.  The facet rank is certified exactly modulo a prime
-from one character-sum block, the zero coset's, and its kernel vector, for
-every N at once (see _affine_rank), with an exact integer rank as the fallback.
+from the rank of one character-sum block, the zero coset's, for every N at
+once (see _affine_rank), with an exact integer rank as the fallback.
 """
 
 from __future__ import annotations
@@ -391,22 +391,19 @@ def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def modular_kernel(matrix: np.ndarray, p: int) -> tuple[int, Optional[np.ndarray]]:
-    """Rank over GF(p) of an integer matrix, for a prime p < 2**21 (see _primes),
-    and a nonzero kernel vector, or None if the columns are independent.
+def modular_rank(matrix: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, for a prime p < 2**21 (see _primes).
 
     Right-looking blocked LU on residues held in float64.  Each panel of at
     most _PANEL columns is eliminated with row pivoting; multipliers are
     stored in place of the eliminated entries, so whole-row swaps carry them.
     The trailing update is one matmul reduced mod p.  Every stored value,
     product and sum is an integer below 2**48, reduced exactly by
-    _reduce_mod, so the result involves no float tolerance.  The kernel
-    vector is 1 at the first non-pivot column f, 0 past it, and solves U's
-    leading f x f triangle by back-substitution in int64 (products < 2**42).
+    _reduce_mod, so the result involves no float tolerance.
     """
     a = np.mod(matrix, p).astype(np.float64, copy=False)
     n, m = a.shape
-    rank, pivots = 0, []
+    rank = 0
     for j0 in range(0, m, _PANEL):
         j1 = min(j0 + _PANEL, m)
         top = rank
@@ -428,8 +425,7 @@ def modular_kernel(matrix: np.ndarray, p: int) -> tuple[int, Optional[np.ndarray
             )
             cols.append(c)
             rank += 1
-        pivots += cols
-        if rank == top or j1 == m:
+        if rank == top or rank == n or j1 == m:
             continue
         # U12 = L11^-1 A12 by forward substitution, then A22 -= L21 U12.
         upper = a[top:rank, j1:]
@@ -438,15 +434,7 @@ def modular_kernel(matrix: np.ndarray, p: int) -> tuple[int, Optional[np.ndarray
         trailing = a[rank:, cols] @ upper
         np.subtract(a[rank:, j1:], trailing, out=trailing)
         a[rank:, j1:] = _reduce_mod(trailing, p)
-    free = next((i for i, c in enumerate(pivots) if c != i), rank)
-    if free == m:
-        return rank, None
-    u = a[:free, : free + 1].astype(np.int64)
-    x = np.zeros(m, dtype=np.int64)
-    x[free] = 1
-    for c in reversed(range(free)):
-        x[c] = -int(u[c, c + 1 :] @ x[c + 1 : free + 1]) * pow(int(u[c, c]), -1, p) % p
-    return rank, x
+    return rank
 
 
 def _saturating_blocks(
@@ -492,7 +480,7 @@ def _streamed_affine_rank(
 
 @lru_cache(maxsize=None)
 def _primes(d: int) -> tuple[int, int]:
-    """The two largest primes p < 2**21, where modular_kernel is exact (its sums
+    """The two largest primes p < 2**21, where modular_rank is exact (its sums
     of products stay below 2**48), with p = 1 (mod d), so GF(p) has w**d = 1.
     """
     top = (2**21 - 2) // d * d + 1
@@ -517,13 +505,13 @@ def _saturating_indicator(expression: BellExpression, target_num: int) -> np.nda
     return indicator.reshape((d,) * 4)
 
 
-def _zero_coset_certifies(indicator: np.ndarray, parties: int, p: int) -> bool:
-    """True if the zero coset's block certifies rank(M) = D at the prime p.
+def _zero_coset_certifies(indicator: np.ndarray, p: int) -> bool:
+    """True if the zero coset's block has corank 1 at the prime p, which
+    certifies rank(M) = D for a level set of the expression at every N.
 
     The block G has rows and columns (a, b) in P x P, P the 2d-1 Collins-Gisin
-    pairs of one party, and G[(a, b), (a', b')] = S^(a - a', b - b') mod p.
-    It certifies when its corank is 1 and no offset but 0 keeps both
-    projections of its kernel vector's support; see _affine_rank.
+    pairs of one party, and G[(a, b), (a', b')] = S^(a - a', b - b') mod p;
+    see _affine_rank.
     """
     d = indicator.shape[0]
     w = _unit_root(p, d)
@@ -538,16 +526,10 @@ def _zero_coset_certifies(indicator: np.ndarray, parties: int, p: int) -> bool:
     size = len(pairs)
     kappa = ((pairs[:, None, :] - pairs[None, :, :]) % d) @ [1, d]
     gram = shat[kappa[:, None, :, None] + d * d * kappa[None, :, None, :]].reshape(size**2, -1)
-    rank, kernel = modular_kernel(gram, p)
-    if kernel is None:
+    rank = modular_rank(gram, p)
+    if rank == size**2:
         raise NumericError(f"zero-coset block of full rank {rank} on a face")
-    if rank < size**2 - 1:
-        return False
-    support = np.flatnonzero(kernel)
-    # shifts[a, x]: pair a plus offset x is a pair; K(Z) is where shifts[Z] all hold
-    shifts = ((pairs[:, None] + np.indices((d, d)).reshape(2, -1).T) % d == 0).any(axis=2)
-    sides = ((support // size, (parties + 1) // 2 - 1), (support % size, parties // 2 - 1))
-    return all(count == 0 or shifts[z].all(axis=0).sum() == 1 for z, count in sides)
+    return rank == size**2 - 1
 
 
 def _affine_rank(expression: BellExpression, target_num: int, budget: int) -> int:
@@ -565,21 +547,25 @@ def _affine_rank(expression: BellExpression, target_num: int, budget: int) -> in
        (odd) j, G the zero coset's block (_zero_coset_certifies).  Over C, G is
        the Gram matrix of u_ab(s) = w**<(a, b), s>, s in S, so that block's
        rank is dim span{u_i : i in A x B}.
-    3. rank_p(G) = |P|**2 - 1 leaves at most one relation c among the u's.  The
-       mod-p kernel vector z is a multiple of c's reduction (p = 1 mod d, and
-       Z[w] localised at a prime above p is a DVR), so supp(z) is in supp(c),
-       and every A x B missing a point of supp(z) has full rank over C.
-    4. With Z_a, Z_b the projections of supp(z) and K(Z) = {x : Z + x in P},
-       |K(Z_a)|**e * |K(Z_b)|**o cosets contain supp(z), e = ceil(N/2) - 1,
-       o = floor(N/2) - 1.  If that is 1, rank(M) >= (D + 1) - 1 = D, and the
-       affine rank is D - 1 exactly.  N enters only through e, o > 0, so a
-       certificate at (4,d) holds for every N >= 2 at that d.
+    3. value - bound = sum_i c_i u_i vanishes on S, so c is a relation among
+       the u's: -bound at (0, 0), and for each term, with settings (s1, s2),
+       sign and modular sign sigma, the sawtooth's DFT sign * 2/(1 - w**-q),
+       never 0, at q * sigma * (e_s1, e_s2) for every q != 0.  Both
+       projections of supp(c) hold every nonzero pair, and (0, 0) unless
+       bound = 0, and no offset x != 0 keeps either inside P.  (At d = 2,
+       x = (1, 1) keeps the nonzero pairs, but the (2,2) spectrum is {-2, 2},
+       so a saturated bound is never 0 there.)
+    4. Reducing G's entries in Z[w] mod p gives rank_p(G) <= rank_C(G), and c
+       gives rank_C(G) <= |P|**2 - 1.  So if rank_p(G) = |P|**2 - 1, c is the
+       u's one relation, and a block is singular only if A x B holds supp(c),
+       which by 3 only the zero coset's does.  Then rank(M) = (D + 1) - 1 = D
+       and the affine rank is D - 1, whatever N is.
     rank_p(G) = |P|**2 would make rank(M) = D + 1 and raises NumericError.
     Without a certificate under both primes, the exact integer stream decides.
     """
     sc = expression.scenario
     indicator = _saturating_indicator(expression, target_num)
-    if any(_zero_coset_certifies(indicator, sc.parties, p) for p in _primes(sc.outcomes)):
+    if any(_zero_coset_certifies(indicator, p) for p in _primes(sc.outcomes)):
         return polytope_dimension(sc) - 1
     return _streamed_affine_rank(expression, target_num, budget)
 
@@ -592,16 +578,21 @@ def facet_check(
     """Certify tightness: exact classical max plus exact affine rank.
 
     The affine rank of the saturating vertices (Bell value equal to the
-    bound) comes from the mod-p rank and kernel vector of one (2d-1)**2-wide
-    character block of their Gram matrix, the zero coset's, whatever N is,
-    with an exact integer fallback when it does not certify (see
-    _affine_rank).  A bound that is never attained yields rank 0 and is_facet
-    False rather than an error.  The budget bounds the strategies actually
-    walked: the d**4 of the classical scan, and the d**(2N) of the fallback
-    if it runs; it does not bound the block's elimination.
+    bound) comes from the mod-p rank of one (2d-1)**2-wide character block of
+    their Gram matrix, the zero coset's, whatever N is, with an exact integer
+    fallback when it does not certify (see _affine_rank).  A bound that is
+    never attained yields rank 0 and is_facet False rather than an error.
+    The budget bounds the work actually done: the block's (2d-1)**4 entries,
+    checked before anything runs, the d**4 strategies of the classical scan,
+    and the d**(2N) of the fallback if it runs.
     """
     sc = expression.scenario
     dim = polytope_dimension(sc)
+    width = (2 * sc.outcomes - 1) ** 2
+    if width**2 > budget:
+        raise ResourceError(
+            f"the {width}-wide zero-coset block's {width**2} entries exceed the budget {budget}"
+        )
     cm = classical_maximum(expression, budget=budget, threads=threads)
 
     target = expression.bound * (sc.outcomes - 1)

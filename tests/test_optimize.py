@@ -388,10 +388,7 @@ class TestSweep:
 
 
 class TestOptimizerConfig:
-    @pytest.mark.parametrize(
-        "field,value",
-        [("tol", np.nan), ("tol", np.inf), ("initial_step", np.nan), ("initial_step", np.inf)],
-    )
+    @pytest.mark.parametrize("field,value", [("tol", np.nan), ("tol", np.inf)])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(DomainError, match="finite"):
             OptimizerConfig(**{field: value})

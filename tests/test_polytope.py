@@ -26,18 +26,15 @@ from bellbench.polytope import (
     classical_maximum,
     enumerate_strategies,
     facet_check,
-    modular_kernel,
+    modular_rank,
     polytope_dimension,
     strategy_count,
     strategy_table,
 )
+from bellbench.scenario import modular_sign
 
 # every prime the facet certificate can use for d = 2..5
 PRIMES = tuple(sorted({p for d in range(2, 6) for p in polytope._primes(d)}))
-
-
-def modular_rank(matrix, p):
-    return modular_kernel(matrix, p)[0]
 
 
 def brute_force_values(expression):
@@ -368,15 +365,12 @@ class TestModularRank:
             for free in sorted({0, 31, 32, cols // 2, cols - 1} & set(range(cols))):
                 mat = rng.integers(-9, 10, size=(rows, cols))
                 mat[:, free] = np.delete(mat, free, axis=1) @ rng.integers(-3, 4, size=cols - 1)
-                rank, x = modular_kernel(mat, p)
-                assert rank == rank_mod_p_oracle(mat, p)
-                assert x is not None and x.any()
-                assert not (mat.astype(object) @ x.astype(object) % p).any()
+                assert modular_rank(mat, p) == rank_mod_p_oracle(mat, p) < cols
 
     def test_independent_columns_have_no_kernel_vector(self):
         mat = np.random.default_rng(4).integers(-9, 10, size=(70, 65))
         for p in PRIMES:
-            assert modular_kernel(mat, p) == (65, None)
+            assert modular_rank(mat, p) == 65
 
     def test_reduce_mod_is_exact_below_2_pow_48(self):
         for p in PRIMES:
@@ -486,9 +480,9 @@ class TestFacetCheck:
 
         def full_rank(matrix, p):
             widths.append(matrix.shape[1])
-            return matrix.shape[1], None
+            return matrix.shape[1]
 
-        monkeypatch.setattr(polytope, "modular_kernel", full_rank)
+        monkeypatch.setattr(polytope, "modular_rank", full_rank)
         with pytest.raises(NumericError, match="full rank 9"):
             facet_check(bell_expression(5, 2))
         assert widths == [9]
@@ -667,18 +661,6 @@ ORACLE_CASES = [
     *[(n, d, None, bound) for n, d, bound in DEFICIENT],
 ]
 
-# random (2,d) faces from a seeded search, as (d, saturating strategy indices,
-# the N in 2..5 that certify): at d = 3, Z_a admits no offset but 0 and Z_b does
-SUPPORT_FACES = [
-    (2, [4, 7, 8, 10, 11, 12, 13, 15], {2}),
-    (
-        3,
-        [0, 6, 9, 10, 11, 16, 18, 20, 23, 25, 26, 27, 32, 37, 42, 45,
-         50, 52, 55, 57, 58, 59, 60, 62, 63, 64, 65, 68, 69, 76, 78],
-        {2, 3},
-    ),
-]
-
 
 class TestCharacterBlocks:
     @pytest.mark.parametrize(
@@ -719,33 +701,60 @@ class TestCharacterBlocks:
         _, indicator = expression_indicator(n, d, family, bound)
         dim = (2 * d - 1) ** n - 1
         for p in polytope._primes(d):
-            assert polytope._zero_coset_certifies(indicator, n, p) == (type_rank_sum(indicator, n, p) == dim)
+            assert polytope._zero_coset_certifies(indicator, p) == (type_rank_sum(indicator, n, p) == dim)
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(data=st.data(), d=st.integers(2, 4))
     def test_zero_coset_verdict_on_any_face(self, data, d):
-        n = data.draw(st.integers(2, 5))
+        # at N = 2 the zero coset is the whole Gram matrix, so its corank
+        # decides any 0/1 face; past N = 2 only level sets are certified
         seed = data.draw(st.integers(0, 2**32 - 1))
         density = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.5]))
         indicator = (np.random.default_rng(seed).random((d,) * 4) < density).astype(np.int64)
         p = data.draw(st.sampled_from(polytope._primes(d)))
-        total, dim = type_rank_sum(indicator, n, p), (2 * d - 1) ** n - 1
+        total, dim = type_rank_sum(indicator, 2, p), (2 * d - 1) ** 2 - 1
         if total > dim:
             with pytest.raises(NumericError):
-                polytope._zero_coset_certifies(indicator, n, p)
+                polytope._zero_coset_certifies(indicator, p)
         else:
-            assert polytope._zero_coset_certifies(indicator, n, p) == (total == dim)
+            assert polytope._zero_coset_certifies(indicator, p) == (total == dim)
 
-    @pytest.mark.parametrize("d,hits,certified", SUPPORT_FACES)
-    def test_kernel_support_decides_past_two_parties(self, d, hits, certified):
-        indicator = np.zeros(d**4, dtype=np.int64)
-        indicator[hits] = 1
-        indicator = indicator.reshape((d,) * 4)
-        for n in (2, 3, 4, 5):
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_level_set_verdict_holds_for_every_n(self, d):
+        # every level of the (2,d) spectrum, facet or not
+        for bound in classical_maximum(bell_expression(2, d)).histogram:
+            _, indicator = expression_indicator(2, d, bound=bound)
             for p in polytope._primes(d):
-                verdict = polytope._zero_coset_certifies(indicator, n, p)
-                assert verdict == (n in certified)
-                assert verdict == (type_rank_sum(indicator, n, p) == (2 * d - 1) ** n - 1)
+                verdict = polytope._zero_coset_certifies(indicator, p)
+                for n in (2, 3, 4, 5):
+                    assert verdict == (type_rank_sum(indicator, n, p) == (2 * d - 1) ** n - 1)
+
+    @pytest.mark.parametrize(
+        "d,family", [*[(d, None) for d in range(2, 9)], *[(d, BIPARTITE_LEGACY) for d in range(2, 7)]]
+    )
+    def test_functional_is_a_kernel_vector_of_the_zero_coset(self, d, family):
+        # value - bound in characters: the constant -bound, and each term's
+        # sawtooth (d-1) - 2m, whose DFT at q != 0 is 2 / (1 - w**-q); as
+        # G[i, j] = S^(i - j), G c = 0 takes c at the negated frequencies
+        e2 = bell_expression(2, d, family) if family else bell_expression(2, d)
+        size = 2 * d - 1
+        for bound in classical_maximum(e2).histogram:
+            e, indicator = expression_indicator(2, d, family, bound)
+            for p in polytope._primes(d):
+                w = polytope._unit_root(p, d)
+                c = np.zeros(size**2, dtype=object)
+                c[0] = -int(bound * (d - 1)) % p
+                for settings, sign in e.terms:
+                    sigma = modular_sign(settings, e.family)
+                    for q in range(1, d):
+                        k = -q * sigma % d
+                        a, b = ((k if s == 1 else d - 1 + k) for s in settings)
+                        c[a * size + b] += sign * 2 * pow(1 - pow(w, -q, p), -1, p)
+                c %= p
+                (_, gram), = type_blocks(indicator, 2, p)
+                assert not (gram.astype(object) @ c % p).any()
+                support = np.flatnonzero(c)
+                assert set(support // size) == set(support % size) == set(range(size))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_every_frequency_lies_in_one_coset(self, d):
@@ -788,17 +797,17 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("n,d", [(4, 3), (3, 5), (6, 2)])
     def test_certificate_stays_in_blocks(self, n, d, monkeypatch):
         widths, ranges = [], []
-        kernel, numerators = polytope.modular_kernel, polytope._value_numerators
+        rank, numerators = polytope.modular_rank, polytope._value_numerators
 
-        def kernel_spy(block, p):
+        def rank_spy(block, p):
             widths.append(block.shape[1])
-            return kernel(block, p)
+            return rank(block, p)
 
         def numerators_spy(expression, lo, hi):
             ranges.append((lo, hi))
             return numerators(expression, lo, hi)
 
-        monkeypatch.setattr(polytope, "modular_kernel", kernel_spy)
+        monkeypatch.setattr(polytope, "modular_rank", rank_spy)
         monkeypatch.setattr(polytope, "_value_numerators", numerators_spy)
         monkeypatch.setattr(polytope, "IntegerRankAccumulator", NoFallback)
         e = bell_expression(n, d)

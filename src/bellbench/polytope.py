@@ -2,12 +2,14 @@
 
 Strategies are enumerated in mixed-radix index order (party 1 / setting 1
 least significant) so the work can be partitioned into contiguous index
-ranges whose partial results merge deterministically.  Only two-party
-maxima are scanned in chunks: for N > 2 the value spectrum is the (2,d)
-one scaled by d**(2N-4) (see classical_maximum).  All classical values
-are exact rationals.  The facet rank is certified exactly modulo a prime
-from the rank of one character-sum block, the zero coset's, for every N at
-once (see _affine_rank), with an exact integer rank as the fallback.
+ranges whose partial results merge deterministically.  Every exact path
+reads one d**3 slice of (2,d) values, built from the scenario's weight
+tables: for N > 2 the value spectrum is the (2,d) one scaled by
+d**(2N-4), and a shift symmetry folds that onto the slice (see
+classical_maximum).  All classical values are exact rationals.  The facet
+rank is certified exactly modulo a prime from the rank of one character-sum
+block, the zero coset's, for every N at once (see _affine_rank), with an
+exact integer rank as the fallback.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from .scenario import (
     ProbabilityTable,
     Scenario,
     SettingsTuple,
-    bell_expression,
-    modular_sign,
+    weight_numerators,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -88,8 +89,7 @@ def strategy_count(scenario: Scenario) -> int:
     return scenario.outcomes ** (2 * scenario.parties)
 
 
-def _check_budget(scenario: Scenario, budget: int) -> int:
-    total = strategy_count(scenario)
+def _check_budget(total: int, budget: int) -> int:
     if total > budget:
         raise ResourceError(
             f"enumeration of {total} strategies exceeds the budget {budget}"
@@ -104,7 +104,7 @@ def enumerate_strategies(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[DeterministicStrategy]:
     """Yield strategies in index order; restartable from any index."""
-    total = _check_budget(scenario, budget)
+    total = _check_budget(strategy_count(scenario), budget)
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
@@ -125,40 +125,30 @@ def strategy_table(strategy: DeterministicStrategy) -> ProbabilityTable:
     return ProbabilityTable(sc, blocks, validate=False)
 
 
-def _digit_arrays(
-    idx: np.ndarray, parties: int, d: int, dtype: np.dtype = np.int64
-) -> list[np.ndarray]:
+def _digit_arrays(idx: np.ndarray, parties: int, d: int) -> list[np.ndarray]:
     """Mixed-radix digits of each index; slot 2*j + i is (party j, setting i)."""
     digits = []
     rest = idx.copy()
     for _ in range(2 * parties):
-        digits.append((rest % d).astype(dtype, copy=False))
+        digits.append(rest % d)
         rest //= d
     return digits
 
 
-def _value_numerators(expression: BellExpression, lo: int, hi: int) -> np.ndarray:
-    """(d-1) * Bell value for every strategy index in [lo, hi)."""
-    sc = expression.scenario
-    d = sc.outcomes
-    idx = np.arange(lo, hi, dtype=np.int64)
-    # Narrow digits and outcome sums keep a chunk's working set a few MiB, so
-    # concurrent scan threads do not each hold tens of MiB of int64 copies.
-    digits = _digit_arrays(idx, sc.parties, d, np.min_scalar_type(d - 1))
-    nums = np.zeros(hi - lo, dtype=np.int64)
+def _slice_numerators(expression: BellExpression, lo: int, hi: int) -> np.ndarray:
+    """(d-1) * Bell value of the (2,d) strategies with B2 = 0 and B1 in [lo, hi).
+
+    Shaped (B1, A2, A1), so C order is strategy index order.  Every term
+    reads the weight table of its first two settings at (A_s1, B_s2), which
+    is the (2,d) member's term at every N (see classical_maximum).
+    """
+    d = expression.scenario.outcomes
+    nums = np.zeros((hi - lo, d, d), dtype=np.int64)
     for settings, sign in expression.terms:
-        total = np.zeros(hi - lo, dtype=np.int32)
-        for j, s in enumerate(settings):
-            total += digits[2 * j + (s - 1)]
-        m = np.mod(modular_sign(settings, expression.family) * total, d)
-        nums += sign * ((d - 1) - 2 * m)
+        table = weight_numerators(2, d, expression.family, settings[:2])
+        by_b = (table[:, lo:hi] if settings[1] == 1 else table[:, :1]).T
+        nums += sign * (by_b[:, None, :] if settings[0] == 1 else by_b[:, :, None])
     return nums
-
-
-def _two_party_member(expression: BellExpression) -> BellExpression:
-    """The expression itself at N = 2, else the (2,d) member (see classical_maximum)."""
-    sc = expression.scenario
-    return expression if sc.parties == 2 else bell_expression(2, sc.outcomes)
 
 
 @dataclass(frozen=True)
@@ -187,35 +177,37 @@ def classical_maximum(
     ones, the four terms' outcome sums are X+Z, X+W, Y+Z and Y+W: those of
     the (2,d) member at strategy (X, Y, Z, W), with the same signs.  That map
     is d**(2N-4)-to-one onto Z_d**4, and it sends every index below d**4 to
-    itself, so the (2,d) scan gives the histogram (counts scaled), the
-    maximum and the lowest-index argmax (padded with zeros) exactly.
+    itself.  Every term reads A_s1 + B_s2, so the shift (c, c, -c, -c) on
+    (A1, A2, B1, B2) keeps every (2,d) value, and each shift orbit's one
+    member with B2 = 0 is its lowest index.  So the d**3 strategies of that
+    slice give the histogram (counts scaled by d**(2N-3)), the maximum and
+    the lowest-index argmax (padded with zeros) exactly.
 
-    Scanned partial results over index ranges merge associatively (max with
-    lowest-index tie break, histogram addition), so the output does not
-    depend on chunking or thread count.  The budget bounds the d**4 scanned
-    strategies.
+    The slice is scanned in B1 slabs whose partial results merge
+    associatively (first maximum, summed value counts), so the output does
+    not depend on the slabs or the thread count.  The budget bounds the d**3
+    scanned strategies.
     """
     sc = expression.scenario
     d = sc.outcomes
-    scanned = _two_party_member(expression)
-    total = _check_budget(scanned.scenario, budget)
-    scale = d ** (2 * sc.parties - 4)
+    _check_budget(d**3, budget)
+    offset = 4 * (d - 1)
+    rows = max(1, _CHUNK // d**2)
 
     def work(lo: int):
-        nums = _value_numerators(scanned, lo, min(lo + _CHUNK, total))
+        nums = _slice_numerators(expression, lo, min(lo + rows, d)).ravel()
         k = int(np.argmax(nums))
-        values, counts = np.unique(nums, return_counts=True)
-        return int(nums[k]), lo + k, values, counts
+        return int(nums[k]), lo * d**2 + k, np.bincount(nums + offset, minlength=2 * offset + 1)
 
-    best_num = None
-    best_idx = None
-    hist: dict[int, int] = {}
-    for num, idx, values, counts in parallel_map(threads, work, range(0, total, _CHUNK)):
+    best_num, best_idx, counts = None, None, 0
+    for num, idx, slab_counts in parallel_map(threads, work, range(0, d, rows)):
         if best_num is None or num > best_num:
             best_num, best_idx = num, idx
-        for v, c in zip(values.tolist(), counts.tolist()):
-            hist[v] = hist.get(v, 0) + c
-    histogram = {Fraction(v, d - 1): c * scale for v, c in sorted(hist.items())}
+        counts = counts + slab_counts
+    scale = d ** (2 * sc.parties - 3)
+    histogram = {
+        Fraction(v - offset, d - 1): c * scale for v, c in enumerate(counts.tolist()) if c
+    }
     return ClassicalMaximum(
         expression,
         Fraction(best_num, d - 1),
@@ -438,34 +430,35 @@ def modular_rank(matrix: np.ndarray, p: int) -> int:
 
 
 def _saturating_blocks(
-    expression: BellExpression, target_num: int, total: int
+    indicator: np.ndarray, parties: int, total: int
 ) -> Iterator[np.ndarray]:
-    """Indices of the strategies scoring target_num / (d-1), in index order.
+    """Indices of the strategies whose (2,d) image (W, Z, Y, X) is in the
+    saturating set (see classical_maximum), in index order.
 
     Yielded in blocks of at most _ROW_BLOCK, so a caller building their CG
     rows never holds more than one block of them.
     """
+    d = indicator.shape[0]
     for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        hits = np.nonzero(_value_numerators(expression, lo, hi) == target_num)[0] + lo
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        digits = _digit_arrays(idx, parties, d)
+        x, y, z, w = (sum(digits[k::4]) % d for k in range(4))
+        hits = idx[indicator[w, z, y, x] != 0]
         for k in range(0, hits.size, _ROW_BLOCK):
             yield hits[k : k + _ROW_BLOCK]
 
 
-def _streamed_affine_rank(
-    expression: BellExpression, target_num: int, budget: int
-) -> int:
+def _streamed_affine_rank(sc: Scenario, indicator: np.ndarray, budget: int) -> int:
     """Exact affine rank of the saturating vertices, capped at D - 1.
 
     Difference rows are streamed in index order through the integer rank
     accumulator, stopping early once the rank reaches D - 1.
     """
-    sc = expression.scenario
-    total = _check_budget(sc, budget)
+    total = _check_budget(strategy_count(sc), budget)
     dim = polytope_dimension(sc)
     acc = IntegerRankAccumulator(dim + 1)
     base_row: Optional[np.ndarray] = None
-    for block in _saturating_blocks(expression, target_num, total):
+    for block in _saturating_blocks(indicator, sc.parties, total):
         mat = _cg_matrix(sc, block)
         row0 = 0
         if base_row is None:
@@ -497,12 +490,15 @@ def _unit_root(p: int, d: int) -> int:
 
 
 def _saturating_indicator(expression: BellExpression, target_num: int) -> np.ndarray:
-    """The (2,d) saturating set S as 0/1, shaped (d,) * 4 in strategy index order."""
+    """The (2,d) saturating set S as 0/1, shaped (d,) * 4 in strategy index order.
+
+    Gathered from the B2 = 0 slice along the shift (see classical_maximum):
+    S[B2, B1, A2, A1] = hit[B1 - B2, A2 + B2, A1 + B2], all mod d.
+    """
     d = expression.scenario.outcomes
-    indicator = np.zeros(d**4, dtype=np.int64)
-    for hits in _saturating_blocks(_two_party_member(expression), target_num, d**4):
-        indicator[hits] = 1
-    return indicator.reshape((d,) * 4)
+    hit = _slice_numerators(expression, 0, d) == target_num
+    b2, b1, a2, a1 = np.ix_(*(np.arange(d),) * 4)
+    return hit[(b1 - b2) % d, (a2 + b2) % d, (a1 + b2) % d].astype(np.int64)
 
 
 def _zero_coset_certifies(indicator: np.ndarray, p: int) -> bool:
@@ -567,7 +563,7 @@ def _affine_rank(expression: BellExpression, target_num: int, budget: int) -> in
     indicator = _saturating_indicator(expression, target_num)
     if any(_zero_coset_certifies(indicator, p) for p in _primes(sc.outcomes)):
         return polytope_dimension(sc) - 1
-    return _streamed_affine_rank(expression, target_num, budget)
+    return _streamed_affine_rank(sc, indicator, budget)
 
 
 def facet_check(
@@ -583,7 +579,7 @@ def facet_check(
     fallback when it does not certify (see _affine_rank).  A bound that is
     never attained yields rank 0 and is_facet False rather than an error.
     The budget bounds the work actually done: the block's (2d-1)**4 entries,
-    checked before anything runs, the d**4 strategies of the classical scan,
+    checked before anything runs, the d**3 strategies of the classical scan,
     and the d**(2N) of the fallback if it runs.
     """
     sc = expression.scenario

@@ -27,6 +27,8 @@ from .scenario import (
 
 OPERATOR_DIMENSION_CAP = 10**4
 STATE_DIMENSION_CAP = 10**6
+# relative residual that max_eigenpair's eigenvector must meet
+EIGENPAIR_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -367,9 +369,7 @@ def bell_operator(
     return BellOperator(sc, blocks, expression, config)
 
 
-def max_eigenpair(
-    operator: BellOperator, tol: float = 1e-9
-) -> tuple[float, StateVector]:
+def max_eigenpair(operator: BellOperator) -> tuple[float, StateVector]:
     """Largest eigenvalue and a matching eigenvector of the Bell operator.
 
     One batched Hermitian solve runs over the orbit blocks; the largest top
@@ -380,9 +380,9 @@ def max_eigenpair(
     orbit = int(np.argmax(values[:, -1]))
     lam, vec = float(values[orbit, -1]), vectors[orbit, :, -1]
     residual = float(np.linalg.norm(operator.blocks[orbit] @ vec - lam * vec))
-    if residual > tol * abs(lam) + 1e-30:
+    if residual > EIGENPAIR_TOL * abs(lam) + 1e-30:
         raise NumericError(
-            f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * |{lam:.6f}|"
+            f"eigenpair residual {residual:.3e} exceeds {EIGENPAIR_TOL:.1e} * |{lam:.6f}|"
         )
     sc = operator.scenario
     amplitudes = np.zeros(sc.dimension, dtype=np.complex128)

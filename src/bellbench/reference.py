@@ -150,14 +150,20 @@ def _tensor_functional_and_gradient(
     return total, gradient
 
 
-def _product_search(state: StateVector, terms, config: OptimizerConfig):
-    """Gradient local search over the 12 Bloch angles of a product functional."""
+def _bloch_max(
+    state: StateVector, terms, config: Optional[OptimizerConfig], threads: int
+) -> float:
+    """Multistart gradient maximization of a product functional of the three
+    qubits over the 12 Bloch angles."""
+    _check_three_qubits(state)
+    config = config or OptimizerConfig()
     t = _correlation_tensor(state.amplitudes, state.amplitudes)
 
     def objective_and_gradient(angles: np.ndarray) -> tuple[float, np.ndarray]:
         return _tensor_functional_and_gradient(t, angles, terms)
 
-    return lambda x0: _gradient_max(objective_and_gradient, x0, config)
+    search = lambda x0: _gradient_max(objective_and_gradient, x0, config)
+    return float(multistart(search, np.zeros(12), config, threads)[0][1])
 
 
 def mermin3_max(
@@ -166,10 +172,7 @@ def mermin3_max(
     threads: int = 1,
 ) -> float:
     """Multistart maximization of the Mermin value over the 12 Bloch angles."""
-    _check_three_qubits(state)
-    config = config or OptimizerConfig()
-    search = _product_search(state, _MERMIN_TERMS, config)
-    return float(multistart(search, np.zeros(12), config, threads)[0][1])
+    return _bloch_max(state, _MERMIN_TERMS, config, threads)
 
 
 def _check_qubit_product_form(expression: BellExpression) -> None:
@@ -196,12 +199,8 @@ def qubit_general_max(
     family) score 0 there yet can violate the bound with general
     observables, which is what this routine quantifies.
     """
-    _check_three_qubits(state)
     _check_qubit_product_form(expression)
-    config = config or OptimizerConfig()
-    terms = tuple((settings, sign) for settings, sign in expression.terms)
-    search = _product_search(state, terms, config)
-    return float(multistart(search, np.zeros(12), config, threads)[0][1])
+    return _bloch_max(state, expression.terms, config, threads)
 
 
 def _family_objective(fam: StateFamily, terms):
@@ -237,8 +236,7 @@ def qubit_general_family_max(
     if fam.scenario != Scenario(3, 2):
         raise DomainError(f"family {fam.name} is not a three-qubit family")
     config = config or OptimizerConfig()
-    terms = tuple((settings, sign) for settings, sign in expression.terms)
-    objective_and_gradient = _family_objective(fam, terms)
+    objective_and_gradient = _family_objective(fam, expression.terms)
     search = lambda x0: _gradient_max(objective_and_gradient, x0, config)
     n_params = len(fam.param_names) + 12
     return float(multistart(search, np.zeros(n_params), config, threads)[0][1])

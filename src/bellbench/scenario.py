@@ -8,6 +8,7 @@ only enter through numerically produced (quantum) tables.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -181,10 +182,6 @@ def bell_expression(
     signs the terms (+11, +12, -21, +22).
     """
     scenario = Scenario(parties, outcomes)
-    if family == BIPARTITE_LEGACY and parties != 2:
-        raise FamilyMismatchError("bipartite-legacy family requires N=2")
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}")
     return BellExpression(scenario, _canonical_terms(parties, family), family)
 
 
@@ -305,7 +302,11 @@ def correlation(
     settings: SettingsTuple,
     family: str = MULTIPARTITE,
 ) -> Union[float, Fraction]:
-    """Weighted sum of one settings block; exact when the table is exact."""
+    """Weighted sum of one settings block; exact when the table is exact.
+
+    An exact block is summed in integers over its entries' common
+    denominator, so no Fraction arithmetic runs per entry.
+    """
     if settings not in table.blocks:
         raise DomainError(f"settings {settings} not present in table")
     sc = table.scenario
@@ -314,8 +315,11 @@ def correlation(
     nums = weight_numerators(sc.parties, sc.outcomes, family, settings)
     block = table.blocks[settings]
     if block.dtype == object:
-        acc = sum(int(w) * p for w, p in zip(nums.flat, block.flat))
-        return Fraction(acc, 1) / (sc.outcomes - 1)
+        den = math.lcm(*(p.denominator for p in block.flat))
+        acc = sum(
+            int(w) * p.numerator * (den // p.denominator) for w, p in zip(nums.flat, block.flat)
+        )
+        return Fraction(acc, den * (sc.outcomes - 1))
     return float(np.dot(nums.ravel(), block.ravel())) / (sc.outcomes - 1)
 
 

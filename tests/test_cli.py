@@ -351,7 +351,7 @@ class TestMainEntry:
         assert report["diagnostics"]["iterations"] == 3**80
 
     def test_budget_bounds_the_two_party_scan(self, tmp_path):
-        # 6**4 = 1296 scanned strategies, not the 6**10 of the five-party space
+        # 6**3 = 216 scanned strategies, not the 6**10 of the five-party space
         out = tmp_path / "report.json"
         argv = ["classical", "--n", "5", "--d", "6", "--budget", "1296", "--out", str(out)]
         assert main(argv) == EXIT_OK
@@ -359,7 +359,7 @@ class TestMainEntry:
 
     def test_budget_bounds_the_zero_coset_block(self, tmp_path, capsys):
         # the certificate's block has (2d-1)**4 entries: 199**4 at d = 100,
-        # though its d**4 scan is inside the default budget
+        # though its d**3 scan is inside the default budget
         out = tmp_path / "report.json"
         start = time.perf_counter()
         assert main(["facet", "--n", "2", "--d", "100", "--out", str(out)]) == EXIT_RESOURCE
@@ -373,7 +373,11 @@ class TestMainEntry:
         assert json.loads(out.read_text())["result"]["is_facet"] is True
 
     def test_resource_error_exit(self, capsys):
-        assert main(["classical", "--n", "5", "--d", "6", "--budget", "1000"]) == EXIT_RESOURCE
+        # the scan reads the 6**3 = 216 strategies of the two-party slice
+        argv = ["classical", "--n", "5", "--d", "6", "--no-timestamp"]
+        assert main([*argv, "--budget", "215"]) == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith("resource error: ")
+        assert main([*argv, "--budget", "216"]) == EXIT_OK
 
     def test_seesaw_past_the_operator_cap_exits_resource(self, tmp_path, capsys):
         # the cap guards the phase search on a fixed state as well

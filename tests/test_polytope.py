@@ -37,6 +37,22 @@ from bellbench.scenario import modular_sign
 PRIMES = tuple(sorted({p for d in range(2, 6) for p in polytope._primes(d)}))
 
 
+def value_numerators(expression, lo, hi):
+    """Oracle route: (d-1) * Bell value for every strategy index in [lo, hi)."""
+    sc = expression.scenario
+    d = sc.outcomes
+    idx = np.arange(lo, hi, dtype=np.int64)
+    digits = polytope._digit_arrays(idx, sc.parties, d)
+    nums = np.zeros(hi - lo, dtype=np.int64)
+    for settings, sign in expression.terms:
+        total = np.zeros(hi - lo, dtype=np.int64)
+        for j, s in enumerate(settings):
+            total += digits[2 * j + (s - 1)]
+        m = np.mod(modular_sign(settings, expression.family) * total, d)
+        nums += sign * ((d - 1) - 2 * m)
+    return nums
+
+
 def brute_force_values(expression):
     """Oracle route: exact Bell value of every strategy via its full table."""
     return [
@@ -161,38 +177,62 @@ class TestClassicalMaximum:
         [(2, 200, None), (2, 300, None), (2, 257, BIPARTITE_LEGACY), (10, 2, None), (7, 3, None)],
     )
     def test_narrow_scan_numerators_are_exact(self, n, d, family):
-        # the scan keeps digits in the smallest dtype that holds d - 1 and
-        # outcome sums in int32; d = 200, 257 and 300 put the digits at and
-        # past the uint8 range, where any wrap would show
+        # slice entry i is the strategy of index i < d**3, zeros past it;
+        # at d = 200, 257 and 300 outcomes and their sums pass the uint8 range
         e = bell_expression(n, d, family) if family else bell_expression(n, d)
         sc = e.scenario
-        total = strategy_count(sc)
-        for lo in np.linspace(0, total - 20, 8, dtype=np.int64).tolist():
-            nums = polytope._value_numerators(e, lo, lo + 20)
-            assert nums.dtype == np.int64
-            for k, num in enumerate(nums.tolist()):
-                s = DeterministicStrategy.from_index(sc, lo + k)
+        for b1 in sorted({0, 1, d // 2, d - 1}):
+            nums = polytope._slice_numerators(e, b1, b1 + 1)
+            assert nums.dtype == np.int64 and nums.shape == (1, d, d)
+            for k in sorted(set(np.linspace(0, d * d - 1, 20, dtype=np.int64).tolist())):
+                s = DeterministicStrategy.from_index(sc, b1 * d * d + k)
                 value = sum(
                     sign * e.weight(settings, s.outcomes_at(settings))
                     for settings, sign in e.terms
                 )
-                assert num == value * (d - 1)
+                assert nums.flat[k] == value * (d - 1)
 
     def test_threads_do_not_change_result(self):
-        # (2, 20) has 160 000 strategies, so its scan spans three chunks
-        for e in (bell_expression(3, 3), bell_expression(2, 20)):
+        # (2, 64) has 64**3 = 4 * 2**16 slice strategies: four slabs of 16 B1 rows
+        for e in (bell_expression(3, 3), bell_expression(2, 64)):
             a = classical_maximum(e, threads=1)
             b = classical_maximum(e, threads=4)
             assert a.max_value == b.max_value
             assert a.argmax == b.argmax
             assert a.histogram == b.histogram
 
+    @pytest.mark.parametrize("family", [None, BIPARTITE_LEGACY])
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_shift_keeps_every_two_party_value(self, d, family):
+        # every term reads A_s1 + B_s2, so (c, c, -c, -c) on (A1, A2, B1, B2)
+        # keeps the value; axes are (B2, B1, A2, A1)
+        e = bell_expression(2, d, family) if family else bell_expression(2, d)
+        nums = value_numerators(e, 0, d**4).reshape((d,) * 4)
+        for c in range(1, d):
+            assert np.array_equal(np.roll(nums, (c, c, -c, -c), axis=(0, 1, 2, 3)), nums)
+
+    @pytest.mark.parametrize("family", [None, BIPARTITE_LEGACY])
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_slice_gives_the_full_two_party_scan(self, d, family):
+        e = bell_expression(2, d, family) if family else bell_expression(2, d)
+        nums = value_numerators(e, 0, d**4)
+        values, counts = np.unique(nums, return_counts=True)
+        cm = classical_maximum(e)
+        assert list(cm.histogram.items()) == [
+            (Fraction(v, d - 1), c) for v, c in zip(values.tolist(), counts.tolist())
+        ]
+        assert cm.max_value == Fraction(int(nums.max()), d - 1)
+        assert cm.argmax.index == int(np.argmax(nums))
+        for v in values.tolist():
+            expected = (nums == v).astype(np.int64).reshape((d,) * 4)
+            assert np.array_equal(polytope._saturating_indicator(e, v), expected)
+
     @pytest.mark.parametrize(
         "n,d", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (3, 4), (6, 2), (5, 3)]
     )
     def test_reduction_to_two_parties_matches_full_scan(self, n, d):
         e = bell_expression(n, d)
-        nums = polytope._value_numerators(e, 0, d ** (2 * n))
+        nums = value_numerators(e, 0, d ** (2 * n))
         values, counts = np.unique(nums, return_counts=True)
         cm = classical_maximum(e)
         assert cm.histogram == {
@@ -206,15 +246,15 @@ class TestClassicalMaximum:
     @pytest.mark.parametrize("n,d", [(7, 3), (5, 4)])
     def test_many_party_maximum_scans_only_two_party_strategies(self, n, d, monkeypatch):
         ranges = []
-        original = polytope._value_numerators
+        original = polytope._slice_numerators
 
         def spy(expression, lo, hi):
             ranges.append((lo, hi))
             return original(expression, lo, hi)
 
-        monkeypatch.setattr(polytope, "_value_numerators", spy)
+        monkeypatch.setattr(polytope, "_slice_numerators", spy)
         cm = classical_maximum(bell_expression(n, d))
-        assert sum(hi - lo for lo, hi in ranges) == d**4
+        assert sum(hi - lo for lo, hi in ranges) * d**2 == d**3
         assert sum(cm.histogram.values()) == cm.strategy_total == d ** (2 * n)
 
 
@@ -488,7 +528,7 @@ class TestFacetCheck:
         assert widths == [9]
 
     def test_fallback_walks_every_strategy_within_the_budget(self):
-        # the scan covers 3**4 strategies, the fallback 3**6 = 729
+        # the scan covers 3**3 strategies, the fallback 3**6 = 729
         e = bell_expression(3, 3).with_bound(-4)
         with pytest.raises(ResourceError, match="729 strategies"):
             facet_check(e, budget=728)
@@ -523,7 +563,7 @@ def saturating_gram(expression):
     """Oracle route: Gram matrix of the saturating strategies' CG rows."""
     sc = expression.scenario
     target = expression.bound * (sc.outcomes - 1)
-    nums = polytope._value_numerators(expression, 0, strategy_count(sc))
+    nums = value_numerators(expression, 0, strategy_count(sc))
     # entries are integers at most the saturating count, exact in float64
     rows = polytope._cg_matrix(sc, np.nonzero(nums == target)[0]).astype(np.float64)
     return rows.T @ rows
@@ -780,7 +820,7 @@ class TestCharacterBlocks:
             m = polytope._cg_matrix(sc, every)
             assert np.array_equal(character_rows(sc, every, p, w), m @ q_n.T % p)
 
-            nums = polytope._value_numerators(e, 0, strategy_count(sc))
+            nums = value_numerators(e, 0, strategy_count(sc))
             u = character_rows(sc, np.nonzero(nums == 2 * (d - 1))[0], p, w)
             g = u.T @ u % p
             scale = pow(d, 2 * n - 4, p)
@@ -797,7 +837,7 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("n,d", [(4, 3), (3, 5), (6, 2)])
     def test_certificate_stays_in_blocks(self, n, d, monkeypatch):
         widths, ranges = [], []
-        rank, numerators = polytope.modular_rank, polytope._value_numerators
+        rank, numerators = polytope.modular_rank, polytope._slice_numerators
 
         def rank_spy(block, p):
             widths.append(block.shape[1])
@@ -808,14 +848,14 @@ class TestCharacterBlocks:
             return numerators(expression, lo, hi)
 
         monkeypatch.setattr(polytope, "modular_rank", rank_spy)
-        monkeypatch.setattr(polytope, "_value_numerators", numerators_spy)
+        monkeypatch.setattr(polytope, "_slice_numerators", numerators_spy)
         monkeypatch.setattr(polytope, "IntegerRankAccumulator", NoFallback)
-        e = bell_expression(n, d)
-        dim = polytope_dimension(e.scenario)
-        assert polytope._affine_rank(e, 2 * (d - 1), polytope.DEFAULT_BUDGET) == dim - 1
+        report = facet_check(bell_expression(n, d))
+        assert report.is_facet
         # the first prime certifies: one elimination, of the zero coset's block
         assert widths == [(2 * d - 1) ** 2]
-        assert sum(hi - lo for lo, hi in ranges) <= d**4
+        # the scan and the saturating set each read the d**3 slice once at most
+        assert sum(hi - lo for lo, hi in ranges) * d**2 <= 2 * d**3
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_primes_hold_roots_of_unity(self, d):

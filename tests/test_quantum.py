@@ -8,6 +8,7 @@ import pytest
 import bellbench.quantum
 from bellbench import (
     DomainError,
+    NumericError,
     ProbabilityTable,
     ResourceError,
     Scenario,
@@ -406,6 +407,16 @@ class TestMaxEigenpair:
         lam, state = max_eigenpair(op)
         assert abs(lam - 2.5) < 1e-12
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12
+
+    def test_residual_past_the_tolerance_raises(self, monkeypatch):
+        # an eigenvalue off by 1e-6 leaves a residual of 1e-6 > EIGENPAIR_TOL * 2.5
+        sc = Scenario(2, 2)
+        blocks = 2.5 * np.array([np.eye(2), np.eye(2)], dtype=complex)
+        op = BellOperator(sc, blocks, bell_expression(2, 2), PhaseConfiguration.zeros(sc))
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (original(a)[0] + 1e-6, original(a)[1]))
+        with pytest.raises(NumericError, match=r"residual 1\.000e-06 exceeds 1\.0e-09 \* \|2\.500001\|"):
+            max_eigenpair(op)
 
     def test_rayleigh_bound(self):
         rng = np.random.default_rng(6)

@@ -150,8 +150,13 @@ class TestBellExpression:
         assert e.terms == (((1, 1), 1), ((1, 2), 1), ((2, 1), -1), ((2, 2), 1))
 
     def test_legacy_needs_two_parties(self):
-        with pytest.raises(FamilyMismatchError):
+        with pytest.raises(FamilyMismatchError, match="bipartite-legacy family requires N=2"):
             bell_expression(3, 2, BIPARTITE_LEGACY)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DomainError, match="unknown family 'cglmp'") as info:
+            bell_expression(2, 3, "cglmp")
+        assert not isinstance(info.value, FamilyMismatchError)
 
     def test_noncanonical_terms_rejected(self):
         sc = Scenario(2, 2)

@@ -7,9 +7,10 @@ reads one d**3 slice of (2,d) values, built from the scenario's weight
 tables: for N > 2 the value spectrum is the (2,d) one scaled by
 d**(2N-4), and a shift symmetry folds that onto the slice (see
 classical_maximum).  All classical values are exact rationals.  The facet
-rank is certified exactly modulo a prime from the rank of one character-sum
-block, the zero coset's, for every N at once (see _affine_rank), with an
-exact integer rank as the fallback.
+rank is certified exactly modulo a prime, for every N at once, from the zero
+coset's character-sum block, which the shift splits into d blocks read from
+the slice's DFT (see _affine_rank), with an exact integer rank as the
+fallback.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .scenario import (
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 16
 _ROW_BLOCK = 512
-_PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -386,69 +386,50 @@ def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
 def modular_rank(matrix: np.ndarray, p: int) -> int:
     """Rank over GF(p) of an integer matrix, for a prime p < 2**21 (see _primes).
 
-    Right-looking blocked LU on residues held in float64.  Each panel of at
-    most _PANEL columns is eliminated with row pivoting; multipliers are
-    stored in place of the eliminated entries, so whole-row swaps carry them.
-    The trailing update is one matmul reduced mod p.  Every stored value,
-    product and sum is an integer below 2**48, reduced exactly by
-    _reduce_mod, so the result involves no float tolerance.
+    Row-pivoted Gaussian elimination on residues held in float64.  Every
+    stored value, product and difference is an integer below 2**48, reduced
+    exactly by _reduce_mod, so the result involves no float tolerance.
     """
     a = np.mod(matrix, p).astype(np.float64, copy=False)
     n, m = a.shape
     rank = 0
-    for j0 in range(0, m, _PANEL):
-        j1 = min(j0 + _PANEL, m)
-        top = rank
-        cols = []
-        for c in range(j0, j1):
-            if rank == n:
-                break
-            nz = np.flatnonzero(a[rank:, c])
-            if nz.size == 0:
-                continue
-            piv = rank + int(nz[0])
-            if piv != rank:
-                a[[rank, piv]] = a[[piv, rank]]
-            inv = pow(int(a[rank, c]), -1, p)
-            mult = _reduce_mod(a[rank + 1 :, c] * inv, p)
-            a[rank + 1 :, c] = mult
-            a[rank + 1 :, c + 1 : j1] = _reduce_mod(
-                a[rank + 1 :, c + 1 : j1] - mult[:, None] * a[rank, c + 1 : j1], p
-            )
-            cols.append(c)
-            rank += 1
-        if rank == top or rank == n or j1 == m:
+    for c in range(m):
+        if rank == n:
+            break
+        nz = np.flatnonzero(a[rank:, c])
+        if nz.size == 0:
             continue
-        # U12 = L11^-1 A12 by forward substitution, then A22 -= L21 U12.
-        upper = a[top:rank, j1:]
-        for t in range(1, rank - top):
-            upper[t] = _reduce_mod(upper[t] - a[top + t, cols[:t]] @ upper[:t], p)
-        trailing = a[rank:, cols] @ upper
-        np.subtract(a[rank:, j1:], trailing, out=trailing)
-        a[rank:, j1:] = _reduce_mod(trailing, p)
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        mult = _reduce_mod(a[rank + 1 :, c] * pow(int(a[rank, c]), -1, p), p)
+        a[rank + 1 :, c + 1 :] = _reduce_mod(
+            a[rank + 1 :, c + 1 :] - mult[:, None] * a[rank, c + 1 :], p
+        )
+        rank += 1
     return rank
 
 
-def _saturating_blocks(
-    indicator: np.ndarray, parties: int, total: int
-) -> Iterator[np.ndarray]:
-    """Indices of the strategies whose (2,d) image (W, Z, Y, X) is in the
-    saturating set (see classical_maximum), in index order.
+def _saturating_blocks(hit: np.ndarray, parties: int, total: int) -> Iterator[np.ndarray]:
+    """Indices of the strategies whose (2,d) image (W, Z, Y, X) is saturating,
+    in index order.  hit is the saturating set of the B2 = 0 slice, shaped
+    (B1, A2, A1), read at the image's shift-orbit member with B2 = 0,
+    (Z - W, Y + W, X + W) mod d (see classical_maximum).
 
     Yielded in blocks of at most _ROW_BLOCK, so a caller building their CG
     rows never holds more than one block of them.
     """
-    d = indicator.shape[0]
+    d = hit.shape[0]
     for lo in range(0, total, _CHUNK):
         idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         digits = _digit_arrays(idx, parties, d)
         x, y, z, w = (sum(digits[k::4]) % d for k in range(4))
-        hits = idx[indicator[w, z, y, x] != 0]
+        hits = idx[hit[(z - w) % d, (y + w) % d, (x + w) % d]]
         for k in range(0, hits.size, _ROW_BLOCK):
             yield hits[k : k + _ROW_BLOCK]
 
 
-def _streamed_affine_rank(sc: Scenario, indicator: np.ndarray, budget: int) -> int:
+def _streamed_affine_rank(sc: Scenario, hit: np.ndarray, budget: int) -> int:
     """Exact affine rank of the saturating vertices, capped at D - 1.
 
     Difference rows are streamed in index order through the integer rank
@@ -458,7 +439,7 @@ def _streamed_affine_rank(sc: Scenario, indicator: np.ndarray, budget: int) -> i
     dim = polytope_dimension(sc)
     acc = IntegerRankAccumulator(dim + 1)
     base_row: Optional[np.ndarray] = None
-    for block in _saturating_blocks(indicator, sc.parties, total):
+    for block in _saturating_blocks(hit, sc.parties, total):
         mat = _cg_matrix(sc, block)
         row0 = 0
         if base_row is None:
@@ -489,43 +470,38 @@ def _unit_root(p: int, d: int) -> int:
             return w
 
 
-def _saturating_indicator(expression: BellExpression, target_num: int) -> np.ndarray:
-    """The (2,d) saturating set S as 0/1, shaped (d,) * 4 in strategy index order.
-
-    Gathered from the B2 = 0 slice along the shift (see classical_maximum):
-    S[B2, B1, A2, A1] = hit[B1 - B2, A2 + B2, A1 + B2], all mod d.
-    """
-    d = expression.scenario.outcomes
-    hit = _slice_numerators(expression, 0, d) == target_num
-    b2, b1, a2, a1 = np.ix_(*(np.arange(d),) * 4)
-    return hit[(b1 - b2) % d, (a2 + b2) % d, (a1 + b2) % d].astype(np.int64)
-
-
-def _zero_coset_certifies(indicator: np.ndarray, p: int) -> bool:
+def _zero_coset_certifies(hit: np.ndarray, p: int) -> bool:
     """True if the zero coset's block has corank 1 at the prime p, which
     certifies rank(M) = D for a level set of the expression at every N.
 
-    The block G has rows and columns (a, b) in P x P, P the 2d-1 Collins-Gisin
-    pairs of one party, and G[(a, b), (a', b')] = S^(a - a', b - b') mod p;
-    see _affine_rank.
+    hit is the saturating set of the B2 = 0 slice, shaped (B1, A2, A1).  The
+    block G has rows and columns (a, b) in P x P, P the 2d-1 Collins-Gisin
+    pairs of one party, and G[(a, b), (a', b')] = S^(a - a', b - b') mod p.
+    By the shift (see _affine_rank) that is d * T(b1 - b1', a2 - a2', a1 - a1'),
+    T the slice's 3-axis DFT, when lambda(a, b) = lambda(a', b'), and 0
+    otherwise; d is a unit mod p, so the d blocks of T have G's rank.
     """
-    d = indicator.shape[0]
+    d = hit.shape[0]
     w = _unit_root(p, d)
     dft = np.array([pow(w, k, p) for k in range(d)])[np.outer(range(d), range(d)) % d]
-    # Separable DFT over the four axes; each contraction stays below 2**63.
-    shat = indicator
-    for _ in range(4):
-        shat = np.tensordot(shat, dft, axes=([0], [1])) % p
-    shat = shat.ravel()
+    # Separable DFT over the three axes; each contraction stays below 2**63.
+    t = hit.astype(np.int64)
+    for _ in range(3):
+        t = np.tensordot(t, dft, axes=([0], [1])) % p
     ks, zeros = np.arange(1, d), np.zeros(d - 1, dtype=np.int64)
     pairs = np.vstack([[0, 0], np.column_stack([ks, zeros]), np.column_stack([zeros, ks])])
-    size = len(pairs)
-    kappa = ((pairs[:, None, :] - pairs[None, :, :]) % d) @ [1, d]
-    gram = shat[kappa[:, None, :, None] + d * d * kappa[None, :, None, :]].reshape(size**2, -1)
-    rank = modular_rank(gram, p)
-    if rank == size**2:
+    size = len(pairs) ** 2
+    a, b = np.divmod(np.arange(size), len(pairs))
+    lam = (pairs[a].sum(axis=1) - pairs[b].sum(axis=1)) % d
+    rank = 0
+    for k in range(d):
+        rows = np.flatnonzero(lam == k)
+        pa, pb = pairs[a[rows]], pairs[b[rows]]
+        da, db = (pa[:, None] - pa[None]) % d, (pb[:, None] - pb[None]) % d
+        rank += modular_rank(t[db[..., 0], da[..., 1], da[..., 0]], p)
+    if rank == size:
         raise NumericError(f"zero-coset block of full rank {rank} on a face")
-    return rank == size**2 - 1
+    return rank == size - 1
 
 
 def _affine_rank(expression: BellExpression, target_num: int, budget: int) -> int:
@@ -556,14 +532,21 @@ def _affine_rank(expression: BellExpression, target_num: int, budget: int) -> in
        u's one relation, and a block is singular only if A x B holds supp(c),
        which by 3 only the zero coset's does.  Then rank(M) = (D + 1) - 1 = D
        and the affine rank is D - 1, whatever N is.
+    5. The shift (c, c, -c, -c) on (A1, A2, B1, B2) keeps S, so
+       S^(k) = w**(c * (kB1 + kB2 - kA1 - kA2)) * S^(k) is 0 unless
+       kA1 + kA2 = kB1 + kB2, and there it is d times the B2 = 0 slice's DFT
+       at (kB1, kA2, kA1).  So G[(a, b), (a', b')] is 0 unless
+       lambda(a, b) = lambda(a', b'), lambda(a, b) = a1 + a2 - b1 - b2 mod d,
+       and rank_p(G) is the sum of the ranks of those d blocks, 4d - 3 wide
+       at lambda = 0 and 4d - 4 wide elsewhere.
     rank_p(G) = |P|**2 would make rank(M) = D + 1 and raises NumericError.
     Without a certificate under both primes, the exact integer stream decides.
     """
     sc = expression.scenario
-    indicator = _saturating_indicator(expression, target_num)
-    if any(_zero_coset_certifies(indicator, p) for p in _primes(sc.outcomes)):
+    hit = _slice_numerators(expression, 0, sc.outcomes) == target_num
+    if any(_zero_coset_certifies(hit, p) for p in _primes(sc.outcomes)):
         return polytope_dimension(sc) - 1
-    return _streamed_affine_rank(sc, indicator, budget)
+    return _streamed_affine_rank(sc, hit, budget)
 
 
 def facet_check(
@@ -574,24 +557,26 @@ def facet_check(
     """Certify tightness: exact classical max plus exact affine rank.
 
     The affine rank of the saturating vertices (Bell value equal to the
-    bound) comes from the mod-p rank of one (2d-1)**2-wide character block of
-    their Gram matrix, the zero coset's, whatever N is, with an exact integer
-    fallback when it does not certify (see _affine_rank).  A bound that is
-    never attained yields rank 0 and is_facet False rather than an error.
-    The budget bounds the work actually done: the block's (2d-1)**4 entries,
-    checked before anything runs, the d**3 strategies of the classical scan,
-    and the d**(2N) of the fallback if it runs.
+    bound) comes from the mod-p rank of one character block of their Gram
+    matrix, the zero coset's, whatever N is, with an exact integer fallback
+    when it does not certify (see _affine_rank).  A bound that is never
+    attained yields rank 0 and is_facet False rather than an error.  The
+    budget bounds the work actually done: the (4d-3)**2 + (d-1)(4d-4)**2
+    entries of the block's d shift blocks, checked before anything runs, the
+    d**3 strategies of the classical scan, and the d**(2N) of the fallback if
+    it runs.
     """
     sc = expression.scenario
     dim = polytope_dimension(sc)
-    width = (2 * sc.outcomes - 1) ** 2
-    if width**2 > budget:
+    d = sc.outcomes
+    entries = (4 * d - 3) ** 2 + (d - 1) * (4 * d - 4) ** 2
+    if entries > budget:
         raise ResourceError(
-            f"the {width}-wide zero-coset block's {width**2} entries exceed the budget {budget}"
+            f"the zero-coset block's {d} shift blocks' {entries} entries exceed the budget {budget}"
         )
     cm = classical_maximum(expression, budget=budget, threads=threads)
 
-    target = expression.bound * (sc.outcomes - 1)
+    target = expression.bound * (d - 1)
     saturating = (
         cm.histogram.get(expression.bound, 0) if target.denominator == 1 else 0
     )

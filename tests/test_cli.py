@@ -358,18 +358,19 @@ class TestMainEntry:
         assert json.loads(out.read_text())["result"]["classical_max"] == "2"
 
     def test_budget_bounds_the_zero_coset_block(self, tmp_path, capsys):
-        # the certificate's block has (2d-1)**4 entries: 199**4 at d = 100,
-        # though its d**3 scan is inside the default budget
+        # the certificate's d shift blocks hold (4d-3)**2 + (d-1)(4d-4)**2
+        # entries: 15 682 393 at d = 100, 1 313 at d = 5
         out = tmp_path / "report.json"
         start = time.perf_counter()
-        assert main(["facet", "--n", "2", "--d", "100", "--out", str(out)]) == EXIT_RESOURCE
+        argv = ["facet", "--n", "2", "--d", "100", "--out", str(out)]
+        assert main([*argv, "--budget", "15682392"]) == EXIT_RESOURCE
         assert time.perf_counter() - start < 1
         assert "zero-coset block" in capsys.readouterr().err
         argv = ["facet", "--n", "3", "--d", "5", "--out", str(out)]
-        assert main([*argv, "--budget", "1000"]) == EXIT_RESOURCE
+        assert main([*argv, "--budget", "1312"]) == EXIT_RESOURCE
         assert not out.exists()
         assert capsys.readouterr().err.startswith("resource error: ")
-        assert main([*argv, "--budget", "6561"]) == EXIT_OK
+        assert main([*argv, "--budget", "1313"]) == EXIT_OK
         assert json.loads(out.read_text())["result"]["is_facet"] is True
 
     def test_resource_error_exit(self, capsys):

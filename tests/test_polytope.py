@@ -224,8 +224,10 @@ class TestClassicalMaximum:
         assert cm.max_value == Fraction(int(nums.max()), d - 1)
         assert cm.argmax.index == int(np.argmax(nums))
         for v in values.tolist():
-            expected = (nums == v).astype(np.int64).reshape((d,) * 4)
-            assert np.array_equal(polytope._saturating_indicator(e, v), expected)
+            # the fallback reads each level through the shift from the slice
+            hit = polytope._slice_numerators(e, 0, d) == v
+            found = np.concatenate(list(polytope._saturating_blocks(hit, 2, d**4)))
+            assert np.array_equal(found, np.flatnonzero(nums == v))
 
     @pytest.mark.parametrize(
         "n,d", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (3, 4), (6, 2), (5, 3)]
@@ -398,8 +400,8 @@ class TestModularRank:
         "rows,cols", [(31, 31), (32, 32), (33, 33), (64, 64), (65, 65), (70, 70), (64, 65), (40, 80)]
     )
     def test_kernel_vector_across_panels(self, rows, cols):
-        # one column a combination of the others, placed before, on or past a
-        # panel boundary; (64, 65) leaves a full panel's rows with a free column
+        # one column a combination of the others, at several positions;
+        # (64, 65) runs out of rows before the last column
         rng = np.random.default_rng(rows * cols)
         for p in PRIMES[:3]:
             for free in sorted({0, 31, 32, cols // 2, cols - 1} & set(range(cols))):
@@ -484,7 +486,7 @@ class TestFacetCheck:
         assert report.is_facet
         assert report.saturating_count == count
 
-    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("d", range(2, 17))
     def test_facet_for_every_n(self, d, monkeypatch):
         # the certificate reads N only through whether e and o are 0, so (4,d)
         # certifying means every N >= 2 does (see polytope._affine_rank)
@@ -515,7 +517,8 @@ class TestFacetCheck:
 
     def test_modular_rank_above_dimension_raises(self, monkeypatch):
         # value - bound vanishes on every saturating CG row, so rank <= D, and
-        # a zero-coset block of full rank would make every coset's full: D + 1
+        # a zero-coset block of full rank would make every coset's full: D + 1;
+        # at d = 2 its shift blocks are 5 and 4 wide
         widths = []
 
         def full_rank(matrix, p):
@@ -525,7 +528,7 @@ class TestFacetCheck:
         monkeypatch.setattr(polytope, "modular_rank", full_rank)
         with pytest.raises(NumericError, match="full rank 9"):
             facet_check(bell_expression(5, 2))
-        assert widths == [9]
+        assert widths == [5, 4]
 
     def test_fallback_walks_every_strategy_within_the_budget(self):
         # the scan covers 3**3 strategies, the fallback 3**6 = 729
@@ -683,10 +686,22 @@ def coset_rank_sum(indicator, parties, p):
 
 
 def expression_indicator(n, d, family=None, bound=None):
+    """The expression and its (2,d) saturating set S, shaped (B2, B1, A2, A1).
+
+    Every index below d**4 is its own (2,d) image, so S is read from the
+    oracle's values there; S[0] is the B2 = 0 slice the certificate reads.
+    """
     e = bell_expression(n, d, family) if family else bell_expression(n, d)
     if bound is not None:
         e = e.with_bound(bound)
-    return e, polytope._saturating_indicator(e, int(e.bound * (d - 1)))
+    nums = value_numerators(e, 0, d**4).reshape((d,) * 4)
+    return e, (nums == int(e.bound * (d - 1))).astype(np.int64)
+
+
+def shift_extension(hit):
+    """The d**4 set whose B2 = c layer is hit moved by the shift (c, c, -c, -c)."""
+    d = hit.shape[0]
+    return np.stack([np.roll(hit, (c, -c, -c), axis=(0, 1, 2)) for c in range(d)]).astype(np.int64)
 
 
 ORACLE_CASES = [
@@ -741,23 +756,24 @@ class TestCharacterBlocks:
         _, indicator = expression_indicator(n, d, family, bound)
         dim = (2 * d - 1) ** n - 1
         for p in polytope._primes(d):
-            assert polytope._zero_coset_certifies(indicator, p) == (type_rank_sum(indicator, n, p) == dim)
+            assert polytope._zero_coset_certifies(indicator[0], p) == (type_rank_sum(indicator, n, p) == dim)
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(data=st.data(), d=st.integers(2, 4))
     def test_zero_coset_verdict_on_any_face(self, data, d):
         # at N = 2 the zero coset is the whole Gram matrix, so its corank
-        # decides any 0/1 face; past N = 2 only level sets are certified
+        # decides any shift-invariant 0/1 face, the only faces a slice
+        # describes; past N = 2 only level sets are certified
         seed = data.draw(st.integers(0, 2**32 - 1))
         density = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.5]))
-        indicator = (np.random.default_rng(seed).random((d,) * 4) < density).astype(np.int64)
+        hit = np.random.default_rng(seed).random((d,) * 3) < density
         p = data.draw(st.sampled_from(polytope._primes(d)))
-        total, dim = type_rank_sum(indicator, 2, p), (2 * d - 1) ** 2 - 1
+        total, dim = type_rank_sum(shift_extension(hit), 2, p), (2 * d - 1) ** 2 - 1
         if total > dim:
             with pytest.raises(NumericError):
-                polytope._zero_coset_certifies(indicator, p)
+                polytope._zero_coset_certifies(hit, p)
         else:
-            assert polytope._zero_coset_certifies(indicator, p) == (total == dim)
+            assert polytope._zero_coset_certifies(hit, p) == (total == dim)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_level_set_verdict_holds_for_every_n(self, d):
@@ -765,9 +781,40 @@ class TestCharacterBlocks:
         for bound in classical_maximum(bell_expression(2, d)).histogram:
             _, indicator = expression_indicator(2, d, bound=bound)
             for p in polytope._primes(d):
-                verdict = polytope._zero_coset_certifies(indicator, p)
+                verdict = polytope._zero_coset_certifies(indicator[0], p)
                 for n in (2, 3, 4, 5):
                     assert verdict == (type_rank_sum(indicator, n, p) == (2 * d - 1) ** n - 1)
+
+    @pytest.mark.parametrize(
+        "d,family", [*[(d, None) for d in range(2, 17)], *[(d, BIPARTITE_LEGACY) for d in range(2, 17)]]
+    )
+    def test_zero_coset_block_splits_into_shift_blocks(self, d, family, monkeypatch):
+        # every level set S is shift-invariant, so at N = 2, where the zero
+        # coset's block is the whole Gram matrix G, G[(a, b), (a', b')]
+        # vanishes unless sigma(a) - sigma(b) = sigma(a') - sigma(b') mod d,
+        # sigma a pair's entry sum, and the certificate ranks G's diagonal
+        # blocks divided by d, so its verdict is G's corank
+        e2 = bell_expression(2, d, family) if family else bell_expression(2, d)
+        sigma = np.array(frequency_pairs(d)).sum(axis=1)
+        lam = np.subtract.outer(sigma, sigma).ravel() % d
+        ranked = []
+
+        def rank_spy(block, p):
+            ranked.append(block)
+            return 0
+
+        monkeypatch.setattr(polytope, "modular_rank", rank_spy)
+        for bound in classical_maximum(e2).histogram:
+            _, indicator = expression_indicator(2, d, family, bound)
+            for p in polytope._primes(d):
+                (_, gram), = type_blocks(indicator, 2, p)
+                assert not gram[lam[:, None] != lam[None, :]].any()
+                ranked.clear()
+                polytope._zero_coset_certifies(indicator[0], p)
+                assert len(ranked) == d
+                for k, block in enumerate(ranked):
+                    rows = np.flatnonzero(lam == k)
+                    assert np.array_equal(d * block % p, gram[np.ix_(rows, rows)])
 
     @pytest.mark.parametrize(
         "d,family", [*[(d, None) for d in range(2, 9)], *[(d, BIPARTITE_LEGACY) for d in range(2, 7)]]
@@ -826,7 +873,7 @@ class TestCharacterBlocks:
             scale = pow(d, 2 * n - 4, p)
             covered = np.zeros(g.shape, dtype=bool)
             row_count = np.zeros(g.shape[0], dtype=np.int64)
-            indicator = polytope._saturating_indicator(e, 2 * (d - 1))
+            _, indicator = expression_indicator(n, d)
             for rows, cols, block in coset_blocks(indicator, n, p):
                 assert np.array_equal(g[np.ix_(rows, cols)], scale * block % p)
                 covered[np.ix_(rows, cols)] = True
@@ -852,8 +899,9 @@ class TestCharacterBlocks:
         monkeypatch.setattr(polytope, "IntegerRankAccumulator", NoFallback)
         report = facet_check(bell_expression(n, d))
         assert report.is_facet
-        # the first prime certifies: one elimination, of the zero coset's block
-        assert widths == [(2 * d - 1) ** 2]
+        # the first prime certifies: one elimination per shift block of the
+        # zero coset's block, the lambda = 0 block first
+        assert widths == [4 * d - 3] + [4 * d - 4] * (d - 1)
         # the scan and the saturating set each read the d**3 slice once at most
         assert sum(hi - lo for lo, hi in ranges) * d**2 <= 2 * d**3
 

@@ -15,6 +15,7 @@ fallback.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,12 +268,9 @@ def _cg_matrix(scenario: Scenario, indices: np.ndarray) -> np.ndarray:
 class IntegerRankAccumulator:
     """Streaming exact rank of integer rows via fraction-free elimination.
 
-    Pivot rows are kept gcd-reduced; combinations stay in int64 when safe and
-    are promoted to Python integers if a combination could overflow, so the
-    computed rank is exact regardless of entry growth.
+    Rows are held as Python integers, which cannot overflow; each new pivot
+    row is divided by its gcd and made positive at its pivot.
     """
-
-    _INT64_SAFE = 2**62
 
     def __init__(self, length: int) -> None:
         self.length = length
@@ -283,55 +281,19 @@ class IntegerRankAccumulator:
     def rank(self) -> int:
         return len(self.rows)
 
-    @staticmethod
-    def _gcd_reduce(row: np.ndarray) -> np.ndarray:
-        if row.dtype == object:
-            g = 0
-            for v in row:
-                g = math.gcd(g, abs(int(v)))
-                if g == 1:
-                    break
-            if g > 1:
-                row = row // g
-            if max(abs(int(v)) for v in row) < 2**40:
-                row = row.astype(np.int64)
-            return row
-        g = int(np.gcd.reduce(np.abs(row)))
-        if g > 1:
-            row = row // g
-        return row
-
-    def _combine(self, row: np.ndarray, pivot_row: np.ndarray, col: int) -> np.ndarray:
-        a = int(row[col])
-        b = int(pivot_row[col])
-        promote = row.dtype == object or pivot_row.dtype == object
-        if not promote:
-            bound = abs(b) * int(np.abs(row).max()) + abs(a) * int(
-                np.abs(pivot_row).max()
-            )
-            promote = bound >= self._INT64_SAFE
-        if promote:
-            row = row.astype(object)
-            pivot_row = pivot_row.astype(object)
-        new = b * row - a * pivot_row
-        if new.dtype != object and int(np.abs(new).max()) > 2**20:
-            new = self._gcd_reduce(new)
-        return new
-
     def add(self, row: np.ndarray) -> bool:
         """Reduce a row against the basis; True if it increased the rank."""
-        row = np.asarray(row)
+        row = np.array(row, dtype=object)
         for col, pivot_row in zip(self.pivots, self.rows):
-            if row[col] != 0:
-                row = self._combine(row, pivot_row, col)
-        nz = np.nonzero(row)[0]
+            if row[col]:
+                row = pivot_row[col] * row - row[col] * pivot_row
+        nz = np.flatnonzero(row)
         if nz.size == 0:
             return False
-        row = self._gcd_reduce(row)
-        if row[nz[0]] < 0:
-            row = -row
         col = int(nz[0])
-        pos = int(np.searchsorted(np.asarray(self.pivots), col))
+        g = math.gcd(*row.tolist())
+        row = row // (g if row[col] > 0 else -g)
+        pos = bisect.bisect(self.pivots, col)
         self.pivots.insert(pos, col)
         self.rows.insert(pos, row)
         return True
@@ -366,46 +328,30 @@ def polytope_dimension(scenario: Scenario) -> int:
     return (2 * scenario.outcomes - 1) ** scenario.parties - 1
 
 
-def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, exactly, for integer-valued float64 |x| < 2**48.
-
-    The quotient estimate x * (1/p) is off by less than 2**-25, while a
-    non-integer x/p lies at least 1/p > 2**-21 from every integer, so the
-    floor is exact except at multiples of p, which may come out as p.
-    Callers pass a temporary; working in place keeps the peak memory of a
-    trailing update at two copies of the trailing block.
-    """
-    q = np.multiply(x, 1.0 / p)
-    np.floor(q, out=q)
-    q *= p
-    x -= q
-    x[x == p] = 0.0
-    return x
-
-
 def modular_rank(matrix: np.ndarray, p: int) -> int:
     """Rank over GF(p) of an integer matrix, for a prime p < 2**21 (see _primes).
 
-    Row-pivoted Gaussian elimination on residues held in float64.  Every
-    stored value, product and difference is an integer below 2**48, reduced
-    exactly by _reduce_mod, so the result involves no float tolerance.
+    Row-pivoted Gaussian elimination on int64 residues.  Each step reduces
+    only the pivot column and the pivot row mod p and applies the rank-1
+    update unreduced, so after k steps, k at most the width and far below
+    2**21, every entry is below p + k * p**2 < 2**63.
     """
-    a = np.mod(matrix, p).astype(np.float64, copy=False)
+    a = np.mod(matrix, p).astype(np.int64, copy=False)
     n, m = a.shape
     rank = 0
     for c in range(m):
         if rank == n:
             break
+        a[rank:, c] %= p
         nz = np.flatnonzero(a[rank:, c])
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
-        mult = _reduce_mod(a[rank + 1 :, c] * pow(int(a[rank, c]), -1, p), p)
-        a[rank + 1 :, c + 1 :] = _reduce_mod(
-            a[rank + 1 :, c + 1 :] - mult[:, None] * a[rank, c + 1 :], p
-        )
+        a[rank, c + 1 :] %= p
+        mult = a[rank + 1 :, c] * pow(int(a[rank, c]), -1, p) % p
+        a[rank + 1 :, c + 1 :] -= mult[:, None] * a[rank, c + 1 :]
         rank += 1
     return rank
 
@@ -454,8 +400,10 @@ def _streamed_affine_rank(sc: Scenario, hit: np.ndarray, budget: int) -> int:
 
 @lru_cache(maxsize=None)
 def _primes(d: int) -> tuple[int, int]:
-    """The two largest primes p < 2**21, where modular_rank is exact (its sums
-    of products stay below 2**48), with p = 1 (mod d), so GF(p) has w**d = 1.
+    """The two largest primes p < 2**21 with p = 1 (mod d), so GF(p) has
+    w**d = 1.  Below 2**21 the int64 arithmetic is exact: each DFT
+    contraction stays below d * p**2, and every entry of modular_rank's
+    elimination below p + k * p**2 after k steps.
     """
     top = (2**21 - 2) // d * d + 1
     primes = (p for p in range(top, 2, -d) if all(p % q for q in range(2, math.isqrt(p) + 1)))

@@ -21,7 +21,6 @@ from bellbench import (
 from bellbench.polytope import (
     DeterministicStrategy,
     IntegerRankAccumulator,
-    _reduce_mod,
     cg_vector,
     classical_maximum,
     enumerate_strategies,
@@ -389,7 +388,7 @@ class TestModularRank:
         if minor % p:
             assert rank_p == acc.rank
 
-    def test_several_panels_match_oracle(self):
+    def test_dependent_rows_of_a_wide_matrix_match_oracle(self):
         rng = np.random.default_rng(3)
         base = rng.integers(0, 2, size=(60, 90))
         mat = np.vstack([base, base[:20] + base[20:40]])
@@ -399,7 +398,7 @@ class TestModularRank:
     @pytest.mark.parametrize(
         "rows,cols", [(31, 31), (32, 32), (33, 33), (64, 64), (65, 65), (70, 70), (64, 65), (40, 80)]
     )
-    def test_kernel_vector_across_panels(self, rows, cols):
+    def test_kernel_vector_at_any_column(self, rows, cols):
         # one column a combination of the others, at several positions;
         # (64, 65) runs out of rows before the last column
         rng = np.random.default_rng(rows * cols)
@@ -414,14 +413,28 @@ class TestModularRank:
         for p in PRIMES:
             assert modular_rank(mat, p) == 65
 
-    def test_reduce_mod_is_exact_below_2_pow_48(self):
+    @pytest.mark.parametrize("rows,cols,repeats", [(61, 61, 0), (61, 61, 9), (122, 61, 0), (122, 61, 30), (9, 61, 0)])
+    def test_residues_next_to_p_match_oracle(self, rows, cols, repeats):
+        # the largest residues, p - 1 and p - 2; 61 columns is the widest
+        # shift block at d = 16 (4d - 3).  Repeated rows leave nonzero
+        # multiples of p below the pivot, which only a reduced column skips.
+        rng = np.random.default_rng(rows * cols + repeats)
         for p in PRIMES:
-            near = [k * p + e for k in (0, 1, 2, 2**27 - 1, 2**48 // p) for e in (-1, 0, 1)]
-            rng = np.random.default_rng(5)
-            values = near + [-v for v in near] + rng.integers(-(2**48) + 1, 2**48, 5000).tolist()
-            values = [v for v in values if abs(v) < 2**48]
-            reduced = _reduce_mod(np.array(values, dtype=np.float64), p)
-            assert reduced.tolist() == [float(v % p) for v in values]
+            mat = p - 1 - rng.integers(0, 2, size=(rows, cols))
+            mat[rows - repeats :] = mat[rng.integers(0, rows - repeats, size=repeats)]
+            mat = mat[rng.permutation(rows)]
+            assert modular_rank(mat, p) == rank_mod_p_oracle(mat, p)
+
+    @pytest.mark.parametrize("rows,rank,cols", [(61, 61, 61), (61, 50, 61), (122, 61, 61), (122, 40, 61), (30, 30, 61)])
+    def test_largest_unreduced_entries_match_oracle(self, rows, rank, cols):
+        # lower @ upper mod p, lower unit-triangular and both p - 1 elsewhere,
+        # so every multiplier and reduced pivot-row entry is p - 1 and step k
+        # leaves entries of size k * (p - 1)**2, modular_rank's stated bound;
+        # below full rank, an overflow or an unreduced pivot shows in the rank
+        for p in PRIMES:
+            lower = np.tril(np.full((rows, rank), p - 1), -1) + np.eye(rows, rank, dtype=np.int64)
+            mat = lower @ np.triu(np.full((rank, cols), p - 1)) % p
+            assert modular_rank(mat, p) == rank_mod_p_oracle(mat, p) == rank
 
 
 # bounds whose saturating vertices span less than a facet

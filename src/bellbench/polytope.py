@@ -272,8 +272,7 @@ class IntegerRankAccumulator:
     row is divided by its gcd and made positive at its pivot.
     """
 
-    def __init__(self, length: int) -> None:
-        self.length = length
+    def __init__(self) -> None:
         self.pivots: list[int] = []
         self.rows: list[np.ndarray] = []
 
@@ -383,7 +382,7 @@ def _streamed_affine_rank(sc: Scenario, hit: np.ndarray, budget: int) -> int:
     """
     total = _check_budget(strategy_count(sc), budget)
     dim = polytope_dimension(sc)
-    acc = IntegerRankAccumulator(dim + 1)
+    acc = IntegerRankAccumulator()
     base_row: Optional[np.ndarray] = None
     for block in _saturating_blocks(hit, sc.parties, total):
         mat = _cg_matrix(sc, block)

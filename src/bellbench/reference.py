@@ -9,6 +9,7 @@ and therefore the meaningful benchmark for non-violation claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,53 +102,52 @@ def mermin3_value(state: StateVector, settings: BlochSettings) -> float:
 _PAULIS = np.stack([_SIGMA_X, _SIGMA_Y, _SIGMA_Z])
 
 
-def _correlation_tensor(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """T[a,b,c] = Re <bra| sigma_a x sigma_b x sigma_c |ket>.  With bra = ket
-    every product-observable expectation is the trilinear form of T with the
-    three Bloch vectors; with ket = d psi it is half that form's derivative."""
-    p = ket.reshape(2, 2, 2)
-    tmp = np.einsum("axi,ijk->axjk", _PAULIS, p)
-    tmp = np.einsum("byj,axjk->abxyk", _PAULIS, tmp)
-    tmp = np.einsum("czk,abxyk->abcxyz", _PAULIS, tmp)
-    return np.real(np.einsum("xyz,abcxyz->abc", np.conj(bra.reshape(2, 2, 2)), tmp))
+def _correlation_tensor(bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """T[..., a,b,c] = Re <bra| sigma_a x sigma_b x sigma_c |ket> for each ket
+    of a (..., 8) stack.  With bra = ket every product-observable expectation
+    is the trilinear form of T with the three Bloch vectors; with ket = d psi
+    it is half that form's derivative."""
+    p = kets.reshape(kets.shape[:-1] + (2, 2, 2))
+    tmp = np.einsum("axi,...ijk->...axjk", _PAULIS, p)
+    tmp = np.einsum("byj,...axjk->...abxyk", _PAULIS, tmp)
+    tmp = np.einsum("czk,...abxyk->...abcxyz", _PAULIS, tmp)
+    return np.real(np.einsum("xyz,...abcxyz->...abc", np.conj(bra.reshape(2, 2, 2)), tmp))
 
 
-def _bloch_rows(angles: np.ndarray) -> np.ndarray:
-    """Six unit vectors from 12 angles; rows ordered (p1,s1), (p1,s2), ..."""
-    sin_p = np.sin(angles[0::2])
-    return np.stack(
-        [sin_p * np.cos(angles[1::2]), sin_p * np.sin(angles[1::2]),
-         np.cos(angles[0::2])],
-        axis=1,
-    )
+@lru_cache(maxsize=None)
+def _sign_array(terms: tuple[tuple[tuple[int, int, int], int], ...]) -> np.ndarray:
+    """S[i,j,k] = the sign of the term with 1-based settings (i+1, j+1, k+1)."""
+    signs = np.zeros((2, 2, 2))
+    for settings, sign in terms:
+        signs[tuple(s - 1 for s in settings)] += sign
+    signs.flags.writeable = False
+    return signs
 
 
 def _tensor_functional_and_gradient(
     t: np.ndarray, angles: np.ndarray, terms: tuple[tuple[tuple[int, int, int], int], ...]
-) -> tuple[float, np.ndarray]:
-    """Signed sum of the terms' trilinear forms of T at _bloch_rows(angles),
-    and its gradient in the 12 angles.  Each term is trilinear, so its
-    derivative along one party's vector is T contracted with the other two
-    vectors."""
-    vecs = _bloch_rows(angles)
-    total = 0.0
-    d_vecs = np.zeros((6, 3))
-    for (i, j, k), sign in terms:
-        a, b, c = vecs[i - 1], vecs[2 + j - 1], vecs[4 + k - 1]
-        tc = t @ c
-        atc = a @ tc
-        total += sign * float(atc @ b)
-        d_vecs[i - 1] += sign * (tc @ b)
-        d_vecs[2 + j - 1] += sign * atc
-        d_vecs[4 + k - 1] += sign * (b @ (a @ t.reshape(3, 9)).reshape(3, 3))
-    sin_p, cos_p = np.sin(angles[0::2]), np.cos(angles[0::2])
-    sin_a, cos_a = np.sin(angles[1::2]), np.cos(angles[1::2])
-    d_polar = np.stack([cos_p * cos_a, cos_p * sin_a, -sin_p], axis=1)
-    d_azimuth = np.stack([-sin_p * sin_a, sin_p * cos_a, np.zeros_like(sin_p)], axis=1)
-    gradient = np.empty(12)
-    gradient[0::2] = np.sum(d_vecs * d_polar, axis=1)
-    gradient[1::2] = np.sum(d_vecs * d_azimuth, axis=1)
-    return total, gradient
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value <T, W>, its gradient in the 12 angles, and the measurement tensor
+    W[a,b,c] = sum_ijk S[i,j,k] u_1i[a] u_2j[b] u_3k[c] of the Bloch vectors
+    u_ps.  The value is trilinear, so its derivative along one party's
+    vectors is T contracted with S and the other two parties' vectors."""
+    polar, azimuth = angles.reshape(3, 2, 2).transpose(2, 0, 1)
+    sin_p, cos_p, sin_a, cos_a = np.sin(polar), np.cos(polar), np.sin(azimuth), np.cos(azimuth)
+    u = np.stack([sin_p * cos_a, sin_p * sin_a, cos_p], axis=-1)
+    # du[p, s, m] is the derivative of u[p, s] in its polar (m = 0) or azimuth (m = 1)
+    du = np.stack(
+        [cos_p * cos_a, cos_p * sin_a, -sin_p, -sin_p * sin_a, sin_p * cos_a, 0 * sin_p], axis=-1
+    ).reshape(3, 2, 2, 3)
+    s = _sign_array(terms)
+    w = np.einsum("ijk,ia,jb,kc->abc", s, u[0], u[1], u[2])
+    d_u = np.stack(
+        [
+            np.einsum("ijk,jb,kc,abc->ia", s, u[1], u[2], t),
+            np.einsum("ijk,ia,kc,abc->jb", s, u[0], u[2], t),
+            np.einsum("ijk,ia,jb,abc->kc", s, u[0], u[1], t),
+        ]
+    )
+    return float(np.vdot(t, w)), np.einsum("psa,psma->psm", d_u, du).reshape(12), w
 
 
 def _bloch_max(
@@ -160,7 +160,7 @@ def _bloch_max(
     t = _correlation_tensor(state.amplitudes, state.amplitudes)
 
     def objective_and_gradient(angles: np.ndarray) -> tuple[float, np.ndarray]:
-        return _tensor_functional_and_gradient(t, angles, terms)
+        return _tensor_functional_and_gradient(t, angles, terms)[:2]
 
     search = lambda x0: _gradient_max(objective_and_gradient, x0, config)
     return float(multistart(search, np.zeros(12), config, threads)[0][1])
@@ -205,20 +205,16 @@ def qubit_general_max(
 
 def _family_objective(fam: StateFamily, terms):
     """Value and gradient in (family angles, 12 Bloch angles).  The value is
-    the form F of _correlation_tensor(psi, psi), linear in the tensor, so
-    angle k moves it by 2 F(_correlation_tensor(psi, d psi / d angle_k))."""
+    <T(psi, psi), W>, linear in the tensor, so angle k moves it by
+    2 <T(psi, d psi / d angle_k), W>."""
     n_angles = len(fam.param_names)
 
     def objective_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
         angles, bloch = x[:n_angles], x[n_angles:]
         psi = fam.build(angles).amplitudes
-        value, bloch_gradient = _tensor_functional_and_gradient(
-            _correlation_tensor(psi, psi), bloch, terms
-        )
-        angle_gradient = [
-            2 * _tensor_functional_and_gradient(_correlation_tensor(psi, d_psi), bloch, terms)[0]
-            for d_psi in fam.derivatives(angles)
-        ]
+        t = _correlation_tensor(psi, np.vstack([psi, fam.derivatives(angles)]))
+        value, bloch_gradient, w = _tensor_functional_and_gradient(t[0], bloch, terms)
+        angle_gradient = 2 * np.einsum("nabc,abc->n", t[1:], w)
         return value, np.concatenate([angle_gradient, bloch_gradient])
 
     return objective_and_gradient

@@ -288,7 +288,7 @@ class TestCgVector:
 
 class TestIntegerRank:
     def test_known_rank(self):
-        acc = IntegerRankAccumulator(3)
+        acc = IntegerRankAccumulator()
         assert acc.add(np.array([1, 2, 3]))
         assert not acc.add(np.array([2, 4, 6]))
         assert acc.add(np.array([0, 1, 1]))
@@ -296,7 +296,7 @@ class TestIntegerRank:
         assert acc.rank == 3
 
     def test_zero_row(self):
-        acc = IntegerRankAccumulator(4)
+        acc = IntegerRankAccumulator()
         assert not acc.add(np.zeros(4, dtype=np.int64))
         assert acc.rank == 0
 
@@ -304,7 +304,7 @@ class TestIntegerRank:
         rng = np.random.default_rng(7)
         for _ in range(25):
             mat = rng.integers(-1, 2, size=(12, 8))
-            acc = IntegerRankAccumulator(8)
+            acc = IntegerRankAccumulator()
             for row in mat:
                 acc.add(row)
             assert acc.rank == np.linalg.matrix_rank(mat.astype(float), tol=1e-8)
@@ -312,7 +312,7 @@ class TestIntegerRank:
     def test_survives_entry_growth(self):
         rng = np.random.default_rng(9)
         mat = rng.integers(-50, 50, size=(10, 10)) * 10**9
-        acc = IntegerRankAccumulator(10)
+        acc = IntegerRankAccumulator()
         for row in mat:
             acc.add(row)
         assert acc.rank == np.linalg.matrix_rank(mat.astype(float) / 1e9, tol=1e-8)
@@ -375,7 +375,7 @@ class TestModularRank:
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(mat=integer_matrices(), p=st.sampled_from(PRIMES + (3, 5)))
     def test_gram_rank_bounded_by_integer_rank(self, mat, p):
-        acc = IntegerRankAccumulator(mat.shape[1])
+        acc = IntegerRankAccumulator()
         for row in mat:
             acc.add(row)
         gram = mat.T @ mat
@@ -442,7 +442,7 @@ DEFICIENT = [(2, 3, -4), (3, 3, -4), (2, 4, Fraction(-10, 3))]
 
 
 class NoFallback:
-    def __init__(self, length):
+    def __init__(self):
         raise AssertionError("integer fallback reached")
 
 
@@ -511,17 +511,17 @@ class TestFacetCheck:
 
     @pytest.mark.parametrize("n,d,bound", DEFICIENT)
     def test_deficient_rank_reaches_exact_fallback(self, n, d, bound, monkeypatch):
-        lengths = []
+        built = []
 
         class Spy(IntegerRankAccumulator):
-            def __init__(self, length):
-                lengths.append(length)
-                super().__init__(length)
+            def __init__(self):
+                built.append(self)
+                super().__init__()
 
         monkeypatch.setattr(polytope, "IntegerRankAccumulator", Spy)
         e = bell_expression(n, d).with_bound(bound)
         report = facet_check(e)
-        assert lengths == [report.dimension + 1]
+        assert len(built) == 1
         mat = saturating_cg_matrix(e)
         diffs = (mat[1:] - mat[0]).astype(float)
         assert report.affine_rank == np.linalg.matrix_rank(diffs, tol=1e-8)

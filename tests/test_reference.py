@@ -118,10 +118,15 @@ class TestMerminMax:
         assert value <= 2 + 1e-4
 
     def test_flip_invariance(self):
-        # the search space is closed under flipping one party's settings
+        # flipping one party's settings negates every term, and the search
+        # space is closed under that flip, so negating every sign of the
+        # functional leaves its maximum unchanged
+        from bellbench.reference import _MERMIN_TERMS, _bloch_max
+
         state = ghz_qubit(0.8)
         cfg = OptimizerConfig(starts=12, seed=3)
-        assert abs(mermin3_max(state, cfg) - mermin3_max(state, cfg)) < 1e-8
+        negated = tuple((s, -sign) for s, sign in _MERMIN_TERMS)
+        assert abs(mermin3_max(state, cfg) - _bloch_max(state, negated, cfg, 1)) < 1e-8
 
 
 class TestQubitGeneralMax:
@@ -190,6 +195,62 @@ class TestQubitGeneralMax:
                 up = objective_and_gradient(x + step)[0]
                 down = objective_and_gradient(x - step)[0]
                 assert abs(gradient[m] - (up - down) / (2 * h)) < 1e-8
+
+    def test_correlation_tensor_of_a_ket_stack(self):
+        from bellbench.reference import _correlation_tensor
+
+        rng = np.random.default_rng(10)
+        bra = rng.normal(size=8) + 1j * rng.normal(size=8)
+        kets = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+        stacked = _correlation_tensor(bra, kets)
+        assert stacked.shape == (5, 3, 3, 3)
+        for ket, tensor in zip(kets, stacked):
+            assert np.abs(tensor - _correlation_tensor(bra, ket)).max() < 1e-15
+
+    def test_measurement_tensor_gives_mermin_value(self):
+        from bellbench.reference import (
+            _MERMIN_TERMS,
+            _correlation_tensor,
+            _tensor_functional_and_gradient,
+        )
+
+        rng = np.random.default_rng(11)
+        state = relevance_state()
+        tensor = _correlation_tensor(state.amplitudes, state.amplitudes)
+        for _ in range(10):
+            angles = rng.uniform(-PI, PI, 12)
+            value, _, w = _tensor_functional_and_gradient(tensor, angles, _MERMIN_TERMS)
+            expected = mermin3_value(state, BlochSettings.from_angles(angles))
+            assert abs(np.sum(tensor * w) - expected) < 1e-12
+            assert abs(value - expected) < 1e-12
+
+    @pytest.mark.parametrize("name", ["ghz_qubit", "w_state"])
+    def test_family_objective_makes_one_kernel_call(self, name, monkeypatch):
+        from bellbench import reference
+
+        calls = {"tensor": 0, "kernel": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            reference, "_correlation_tensor", counted("tensor", reference._correlation_tensor)
+        )
+        monkeypatch.setattr(
+            reference,
+            "_tensor_functional_and_gradient",
+            counted("kernel", reference._tensor_functional_and_gradient),
+        )
+        family = STATE_FAMILIES[name]
+        objective_and_gradient = reference._family_objective(family, bell_expression(3, 2).terms)
+        rng = np.random.default_rng(12)
+        for evaluations in range(1, 4):
+            objective_and_gradient(rng.uniform(-PI, PI, len(family.param_names) + 12))
+            assert calls == {"tensor": evaluations, "kernel": evaluations}
 
     def test_ghz_value(self):
         value = qubit_general_max(

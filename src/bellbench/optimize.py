@@ -30,12 +30,10 @@ from .quantum import (
 
 MAX_SEESAW_SWEEPS = 100
 
-# The searches' second-order escape: a top Hessian eigenvalue above the
-# threshold marks a stopping point as a saddle to step off, by ESCAPE_STEP
-# along its eigenvector.  The phase searches read the exact Hessian; the
-# family searches take it by central differences of the analytic gradient
-# with CURVATURE_STEP.
-CURVATURE_STEP = 1e-4
+# The searches' second-order escape: a top eigenvalue of the exact probe
+# (the phase Hessian, beside an angle block in the family searches) above
+# the threshold marks a stopping point as a saddle to step off, by
+# ESCAPE_STEP along its eigenvector.
 CURVATURE_THRESHOLD = 1e-6
 ESCAPE_STEP = 0.3
 
@@ -157,31 +155,11 @@ def _gradient_max(
     return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), len(read)
 
 
-def _difference_hessian(
-    objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The Hessian from central differences of the gradient, step
-    CURVATURE_STEP, at 2 * x.size calls: the family objectives have no other."""
-
-    def hessian(x: np.ndarray) -> np.ndarray:
-        matrix = np.empty((x.size, x.size))
-        for i in range(x.size):
-            step = np.zeros(x.size)
-            step[i] = CURVATURE_STEP
-            up = objective_and_gradient(x + step)[1]
-            down = objective_and_gradient(x - step)[1]
-            matrix[:, i] = (up - down) / (2 * CURVATURE_STEP)
-        return matrix
-
-    return hessian
-
-
 def _escaping_gradient_max(
     objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
     hessian: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     config: OptimizerConfig,
-    probe_cost: int = 1,
 ) -> tuple[np.ndarray, float, bool, int]:
     """_gradient_max, restarted past saddles; returns what it returns.
 
@@ -192,9 +170,9 @@ def _escaping_gradient_max(
     ESCAPE_STEP along its eigenvector (the better sign, + on a tie) is
     tried, and the search restarts there when the value rises by more than
     tol.  Every value-and-gradient call counts against max_iterations, and so
-    does each probe, at probe_cost: 1 for the phase searches' exact Hessian
-    (about one kernel call), 2 * x.size for _difference_hessian.  A probe
-    and its step run only while they fit in what is left.
+    does each probe, as 1: the exact phase Hessian costs about one kernel
+    call, the family probe about two family evaluations.  A probe and its
+    step run only while they fit in what is left.
     """
     x = np.asarray(x0, dtype=float)
     budget = config.max_iterations
@@ -203,11 +181,11 @@ def _escaping_gradient_max(
         remaining = replace(config, max_iterations=budget - evaluations)
         x, value, ok, nfev = _gradient_max(objective_and_gradient, x, remaining)
         evaluations += nfev
-        if not ok or x.size == 0 or evaluations + probe_cost + 2 >= budget:
+        if not ok or x.size == 0 or evaluations + 3 >= budget:
             return x, value, ok, evaluations
         h = hessian(x)
         curvatures, directions = np.linalg.eigh((h + h.T) / 2)
-        evaluations += probe_cost
+        evaluations += 1
         if curvatures[-1] <= CURVATURE_THRESHOLD:
             return x, value, ok, evaluations
         up = x + ESCAPE_STEP * directions[:, -1]
@@ -391,24 +369,44 @@ def optimize_state_family(
         if phases.scenario != sc:
             raise DomainError("fixed phases do not match the expression scenario")
 
-    def objective_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def read(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         angles = x[:n_angles]
         vectors = _phase_vectors(x[n_angles:], sc) if free_phases else phases.vectors
+        return vectors, fam.build(angles).as_tensor(), fam.derivatives(angles)
+
+    def objective_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        vectors, state_tensor, rows = read(x)
         value, phase_gradient, b_psi = _expression_value_and_gradient(
-            fam.build(angles).as_tensor(), vectors, expression
+            state_tensor, vectors, expression
         )
-        gradient = 2 * (fam.derivatives(angles) @ np.conj(b_psi.ravel())).real
+        gradient = 2 * (rows @ np.conj(b_psi.ravel())).real
         if free_phases:
             gradient = np.concatenate([gradient, phase_gradient[:, 1:].ravel()])
         return value, gradient
 
+    def hessian(x: np.ndarray) -> np.ndarray:
+        # block diagonal, and for v in either block's span v^T H v is the
+        # objective's curvature.  Phases: the exact phase Hessian at the
+        # current state.  Angles: 2 Re J+ (B - value) J, J the derivative
+        # rows, exact at stationary angles: there Re B psi = value * psi on
+        # the support, and the unit norm turns psi's second derivatives
+        # into -J^T J
+        vectors, state_tensor, rows = read(x)
+        value, _, _ = _expression_value_and_gradient(state_tensor, vectors, expression)
+        b_rows = np.array([
+            _expression_value_and_gradient(r.reshape(state_tensor.shape), vectors, expression)[2]
+            for r in rows
+        ]).reshape(rows.shape)
+        matrix = np.zeros((x.size, x.size))
+        matrix[:n_angles, :n_angles] = 2 * (rows.conj() @ (b_rows - value * rows).T).real
+        if free_phases:
+            phase_hessian = _phase_objective(state_tensor, expression)[1]
+            matrix[n_angles:, n_angles:] = phase_hessian(x[n_angles:])
+        return matrix
+
     first = np.zeros(n_angles + (_phase_param_count(sc) if free_phases else 0))
     first[:n_angles] = np.pi / 4
-
-    hessian = _difference_hessian(objective_and_gradient)
-    search = lambda x0: _escaping_gradient_max(
-        objective_and_gradient, hessian, x0, config, probe_cost=2 * x0.size
-    )
+    search = lambda x0: _escaping_gradient_max(objective_and_gradient, hessian, x0, config)
     best, per_start = multistart(search, first, config, threads)
     x = best[0]
     angles = wrap_angle(x[:n_angles])

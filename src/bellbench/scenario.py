@@ -160,8 +160,6 @@ class BellExpression:
             raise DomainError(
                 f"terms do not match the canonical {self.family} pattern"
             )
-        if len({s for s, _ in self.terms}) != 4:
-            raise DomainError("expression needs 4 distinct settings tuples")
 
     def weight(self, settings: SettingsTuple, outcomes: OutcomeTuple) -> Fraction:
         if self.family == BIPARTITE_LEGACY:

@@ -35,6 +35,30 @@ PI = np.pi
 ROOT8 = 2 * np.sqrt(2)
 
 
+def difference_hessian(objective_and_gradient, x, step=1e-4):
+    """The Hessian by central differences of the gradient: the oracle for the
+    searches' exact probes, at 2 * x.size gradient calls."""
+    shifts = step * np.eye(x.size)
+    return np.array([
+        objective_and_gradient(x + s)[1] - objective_and_gradient(x - s)[1] for s in shifts
+    ]).T / (2 * step)
+
+
+def family_closures(family, expression, phases="free"):
+    """The (value and gradient, probe) pair that optimize_state_family hands
+    its local search; the search itself is skipped."""
+    handed = []
+
+    def local_search(objective_and_gradient, hessian, x0, config):
+        handed.append((objective_and_gradient, hessian))
+        return x0, 0.0, True, 0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_escaping_gradient_max", local_search)
+        optimize_state_family(family, expression, OptimizerConfig(starts=1), phases=phases)
+    return handed[0]
+
+
 class TestWrapAngle:
     def test_range(self):
         rng = np.random.default_rng(0)
@@ -220,7 +244,7 @@ class TestCurvatureProbe:
         x = np.random.default_rng(5).uniform(-PI, PI, 8)
         exact = hessian(x)
         assert calls == []
-        central = optimize._difference_hessian(objective_and_gradient)(x)
+        central = difference_hessian(objective_and_gradient, x)
         assert len(calls) == 2 * x.size
         assert np.abs(exact - central).max() < 1e-7
 
@@ -258,6 +282,109 @@ class TestCurvatureProbe:
         assert odd == 0 and len(probes) >= steps >= 1
         assert result.evaluations == sum(nfev) + len(probes) + 2 * steps
         assert abs(result.best_value - ROOT8) < 1e-6
+
+
+class TestFamilyProbe:
+    @pytest.mark.parametrize("name", ["ghz_qutrit", "w_state"])
+    def test_phase_block_matches_difference_hessian(self, name):
+        family = STATE_FAMILIES[name]
+        sc = family.scenario
+        objective_and_gradient, probe = family_closures(
+            family, bell_expression(sc.parties, sc.outcomes)
+        )
+        k = len(family.param_names)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            x = rng.uniform(-PI, PI, k + 2 * sc.parties * (sc.outcomes - 1))
+            exact, central = probe(x), difference_hessian(objective_and_gradient, x)
+            assert np.abs(exact[k:, k:] - central[k:, k:]).max() < 1e-7
+            assert not exact[:k, k:].any() and not exact[k:, :k].any()
+
+    @pytest.mark.parametrize("free", [True, False])
+    def test_angle_block_is_exact_at_stationary_angles(self, free):
+        # at fixed phases the value is c^T M c on the support, M = Re B there,
+        # so each eigenvector of M spells stationary angles: the top one a
+        # maximum, where the angle block has no upward curvature, and the
+        # others points the probe must see a way up from
+        family, e = STATE_FAMILIES["ghz_qutrit"], bell_expression(3, 3)
+        rng = np.random.default_rng(8)
+        vectors = np.zeros((6, 3))
+        vectors[:, 1:] = rng.uniform(-PI, PI, (6, 2))
+        phases = PhaseConfiguration(e.scenario, vectors)
+        objective_and_gradient, probe = family_closures(family, e, "free" if free else phases)
+        support = list(family.support)
+        basis = np.eye(e.scenario.dimension)[support].reshape(3, 3, 3, 3)
+        kernel = bellbench.quantum._expression_value_and_gradient
+        m = np.array([kernel(b, vectors, e)[2].ravel()[support] for b in basis]).real
+        values, eigenvectors = np.linalg.eigh(m)
+        for value, c in zip(values, eigenvectors.T):
+            angles = np.array([np.arccos(c[0]), np.arctan2(c[2], c[1])])
+            x = np.concatenate([angles, vectors[:, 1:].ravel()]) if free else angles
+            at_x, gradient = objective_and_gradient(x)
+            assert abs(at_x - value) < 1e-12 and np.abs(gradient[:2]).max() < 1e-12
+            exact, central = probe(x)[:2, :2], difference_hessian(objective_and_gradient, x)
+            assert np.abs(exact - central[:2, :2]).max() < 1e-7
+            top = np.linalg.eigvalsh(exact)[-1]
+            assert top < 1e-9 if value == values[-1] else top > 1e-3
+
+    def test_probe_calls_and_evaluations(self, monkeypatch):
+        # one ghz_qutrit start with free phases: each probe reads the phase
+        # Hessian once and the kernel at the state and at the 2 angle
+        # derivatives, and calls nothing in minimize; evaluations = minimize
+        # calls + 1 per probe + 2 per step attempt
+        nfev, probes, counts = [], [], collections.Counter()
+        minimize = optimize.minimize
+        hessian = optimize._expression_hessian
+        kernel = optimize._expression_value_and_gradient
+        search = optimize._escaping_gradient_max
+
+        def counting_minimize(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            nfev.append(result.nfev)
+            return result
+
+        def counting(name, function):
+            def counted(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return counted
+
+        def watched_search(objective_and_gradient, probe, x0, config):
+            def watched(x):
+                before = counts.copy()
+                matrix = probe(x)
+                probes.append(tuple((counts - before)[k] for k in ("kernel", "hessian")))
+                return matrix
+
+            return search(objective_and_gradient, watched, x0, config)
+
+        monkeypatch.setattr(optimize, "minimize", counting_minimize)
+        monkeypatch.setattr(optimize, "_expression_hessian", counting("hessian", hessian))
+        monkeypatch.setattr(
+            optimize, "_expression_value_and_gradient", counting("kernel", kernel)
+        )
+        monkeypatch.setattr(optimize, "_escaping_gradient_max", watched_search)
+        result = optimize_state_family(
+            "ghz_qutrit", bell_expression(3, 3), OptimizerConfig(starts=1, seed=1)
+        )
+        assert probes and set(probes) == {(3, 1)}
+        steps, odd = divmod(counts["kernel"] - sum(nfev) - 3 * len(probes), 2)
+        assert odd == 0 and len(probes) >= steps >= 1
+        assert result.evaluations == sum(nfev) + len(probes) + 2 * steps
+
+    def test_fixed_phases_step_off_a_minimum_start(self):
+        # the Bell operator has no diagonal, so start 0's theta = pi/4 is
+        # stationary; at these phases it is the minimum -2 sqrt 2, and only
+        # the probe's angle block sees the way up
+        e = bell_expression(3, 2)
+        phases = PhaseConfiguration(
+            e.scenario,
+            [[0, 11 * PI / 12], [0, 5 * PI / 4], [0, -PI / 6], [0, PI / 3], [0, 0], [0, PI / 6]],
+        )
+        assert abs(quantum_bell_value(ghz_qubit(PI / 4), phases, e) + ROOT8) < 1e-12
+        result = optimize_state_family("ghz_qubit", e, OptimizerConfig(starts=1), phases=phases)
+        assert abs(result.best_value - ROOT8) < 1e-9
 
 
 class TestStateFamilies:

@@ -286,19 +286,19 @@ def _run_optimize(spec: RunSpec) -> tuple[dict, int]:
             if phases_text.strip() == "optimize"
             else parse_phases(phases_text, expr.scenario)
         )
-        result = optimize_state_family(state, expr, config, phases=fixed, threads=spec.threads)
+        result = optimize_state_family(state, expr, config, phases=fixed)
     else:
         if spec.phases not in (None, "optimize"):
             raise DomainError(
                 "optimize with a concrete state optimizes the phases; "
                 "fixed phases belong to the violate command"
             )
-        result = optimize_phases(state, expr, config, threads=spec.threads)
+        result = optimize_phases(state, expr, config)
     return result.to_json_dict(), result.evaluations
 
 
 def _run_seesaw(spec: RunSpec) -> tuple[dict, int]:
-    result = seesaw(_expression(spec), spec.optimizer_config(), threads=spec.threads)
+    result = seesaw(_expression(spec), spec.optimizer_config())
     return result.to_json_dict(), result.evaluations
 
 
@@ -308,7 +308,7 @@ def _run_sweep(spec: RunSpec) -> tuple[dict, int]:
     if not isinstance(state, StateFamily):
         raise DomainError("sweep needs a state family, not a concrete state")
     points = parse_grid(_require(spec, "grid"))
-    rows = sweep(state, points, expr, spec.optimizer_config(), threads=spec.threads)
+    rows = sweep(state, points, expr, spec.optimizer_config())
     payload = {
         "param_names": list(state.param_names),
         "rows": [
@@ -342,7 +342,7 @@ def _run_mermin(spec: RunSpec) -> tuple[dict, int]:
     state = parse_state(_require(spec, "state"), Scenario(3, 2))
     if isinstance(state, StateFamily):
         raise DomainError("mermin needs a concrete three-qubit state")
-    value = mermin3_max(state, spec.optimizer_config(), threads=spec.threads)
+    value = mermin3_max(state, spec.optimizer_config())
     return {"mermin_max": value}, spec.starts
 
 

@@ -1,21 +1,20 @@
 """Violation search: multistart phase optimization, see-saw, state families.
 
 All searches are deterministic: start k of a run draws from a generator
-seeded by (seed, k), so results are independent of thread count and the
-start-stream is a prefix of any longer run with the same seed.  Importing
-this module does not load scipy: `minimize` does, on its first call.
+seeded by (seed, k), so the start-stream is a prefix of any longer run with
+the same seed.  Every local search is `minimize`, a dense BFGS, and every
+search runs its starts and sweep points in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError
-from .parallel import parallel_map
 from .scenario import BellExpression, Scenario
 from .quantum import (
     STATE_FAMILIES,
@@ -38,12 +37,124 @@ CURVATURE_THRESHOLD = 1e-6
 ESCAPE_STEP = 0.3
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call so that commands
-    which never search do not load scipy."""
-    from scipy.optimize import minimize as scipy_minimize
+# minimize's line search: the strong-Wolfe constants (sufficient decrease
+# and curvature) and the most calls one line search may make.
+WOLFE_DECREASE = 1e-4
+WOLFE_CURVATURE = 0.9
+LINE_SEARCH_CALLS = 20
 
-    return scipy_minimize(*args, **kwargs)
+
+class LocalSearch(NamedTuple):
+    """What minimize returns: the point, its value, whether a stopping test
+    fired within the budget, and the number of calls made."""
+
+    x: np.ndarray
+    fun: float
+    success: bool
+    nfev: int
+
+
+def _cubic_step(a, fa, da, b, fb, db) -> float:
+    """Minimizer of the cubic through (a, fa, da) and (b, fb, db) when it
+    lies strictly between a and b, else the midpoint."""
+    d1 = da + db - 3 * (fa - fb) / (a - b)
+    radicand = d1 * d1 - da * db
+    midpoint = (a + b) / 2
+    if radicand < 0:
+        return midpoint
+    d2 = math.copysign(math.sqrt(radicand), b - a)
+    denominator = db - da + 2 * d2
+    step = b - (b - a) * (db + d2 - d1) / denominator if denominator else midpoint
+    return step if min(a, b) < step < max(a, b) else midpoint
+
+
+def minimize(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    tol: float,
+    budget: int,
+) -> LocalSearch:
+    """Dense BFGS on fun, which returns (value, gradient), from x0.
+
+    The inverse Hessian starts as the identity and is scaled by s^T y / y^T y
+    at the first update; an update with s^T y <= 0 is skipped.  Each step
+    is a strong-Wolfe line search along -H g, starting from 1 / |g| on the
+    steepest-descent direction and from 1 otherwise.  The search converges
+    when max |g| <= tol, or when a step lowers the value by at most tol
+    relative to max(|f_k|, |f_k+1|, 1).  A failed line search resets H to
+    the identity, and one along -g stops the search unconverged at the best
+    point it read, as does the budget of `budget` calls.
+    """
+    nfev = 0
+    best = None
+
+    def read(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal nfev, best
+        value, gradient = fun(x)
+        nfev += 1
+        if best is None or value < best[0]:
+            best = (value, x)
+        return value, gradient
+
+    x = np.asarray(x0, dtype=float)
+    f, g = read(x)
+    h = None  # inverse Hessian; None is the unscaled identity
+    while np.abs(g).max(initial=0.0) > tol:
+        p = -g if h is None else -h @ g
+        first = 1 / np.linalg.norm(g) if h is None else 1.0
+        step = _wolfe_step(read, x, f, g, p, first, min(budget - nfev, LINE_SEARCH_CALLS))
+        if step is None:
+            if h is None or nfev == budget:
+                return LocalSearch(best[1], best[0], False, nfev)
+            h = None
+            continue
+        x_new, f_new, g_new = step
+        s, y = x_new - x, g_new - g
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= tol:
+            break
+        sy = s @ y
+        if sy > 0:
+            if h is None:
+                h = (sy / (y @ y)) * np.eye(x.size)
+            hy = h @ y
+            # H += w s^T + s w^T, w = (s^T y + y^T H y) s / (2 (s^T y)^2) - H y / s^T y
+            rank_two = np.array([((sy + y @ hy) / (2 * sy * sy)) * s - hy / sy, s])
+            h += rank_two.T @ rank_two[::-1]
+    return LocalSearch(x, f, True, nfev)
+
+
+def _wolfe_step(read, x, f, g, p, step, calls):
+    """(x + a p, value, gradient) at a step a meeting the strong Wolfe
+    conditions, or None when p does not descend or no such step turns up
+    within `calls` calls of read.  The step doubles until it brackets such
+    a point, and the bracket [lo, hi] then narrows by cubic interpolation,
+    or by bisection after a cubic step that did not halve it."""
+    slope0 = g @ p
+    if not slope0 < 0:
+        return None
+    lo, hi = (0.0, f, slope0), None
+    width = math.inf
+    for _ in range(calls):
+        if hi is not None:
+            bisect = abs(hi[0] - lo[0]) > width / 2
+            width = abs(hi[0] - lo[0])
+            step = (lo[0] + hi[0]) / 2 if bisect else _cubic_step(*lo, *hi)
+        point = x + step * p
+        value, gradient = read(point)
+        slope = gradient @ p
+        if value > f + WOLFE_DECREASE * step * slope0 or value > lo[1]:
+            hi = (step, value, slope)
+            continue
+        if abs(slope) <= -WOLFE_CURVATURE * slope0:
+            return point, value, gradient
+        if (slope if hi is None else slope * (hi[0] - lo[0])) >= 0:
+            hi = lo
+        lo = (step, value, slope)
+        if hi is None:
+            step *= 2
+    return None
 
 
 @dataclass(frozen=True)
@@ -119,40 +230,21 @@ def _config_from_params(x: np.ndarray, scenario: Scenario) -> PhaseConfiguration
     return PhaseConfiguration(scenario, _phase_vectors(wrap_angle(x), scenario))
 
 
-class _BudgetSpent(Exception):
-    """Raised by _gradient_max's objective on the call past max_iterations."""
-
-
 def _gradient_max(
     objective_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
     config: OptimizerConfig,
 ) -> tuple[np.ndarray, float, bool, int]:
-    """L-BFGS-B on an analytic gradient, maximizing; returns (x, value,
-    success, evaluations), each value-and-gradient call counting as one
-    evaluation.  With no parameters the objective is read once.  The
-    objective counts the calls, since scipy's maxfun is checked only between
-    iterations: past max_iterations the search stops unconverged and returns
-    the best point it read."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size == 0:
-        return x0, objective_and_gradient(x0)[0], True, 1
-    read: list[tuple[float, np.ndarray]] = []
+    """minimize on the negated objective, within config.max_iterations
+    calls; returns (x, value, success, evaluations), each value-and-gradient
+    call counting as one evaluation."""
 
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        if len(read) == config.max_iterations:
-            raise _BudgetSpent
         value, gradient = objective_and_gradient(x)
-        read.append((value, x.copy()))
         return -value, -gradient
 
-    try:
-        options = {"ftol": config.tol, "gtol": config.tol}
-        res = minimize(negated, x0, jac=True, method="L-BFGS-B", options=options)
-    except _BudgetSpent:
-        value, x = max(read, key=lambda r: r[0])
-        return x, value, False, len(read)
-    return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), len(read)
+    result = minimize(negated, x0, config.tol, config.max_iterations)
+    return result.x, -result.fun, result.success, result.nfev
 
 
 def _escaping_gradient_max(
@@ -163,7 +255,7 @@ def _escaping_gradient_max(
 ) -> tuple[np.ndarray, float, bool, int]:
     """_gradient_max, restarted past saddles; returns what it returns.
 
-    L-BFGS-B stops at any stationary point, and splitter phases have saddles
+    BFGS stops at any stationary point, and splitter phases have saddles
     with a vanishing gradient that no single-axis step climbs out of (the
     zero-phase start on a degenerate eigenvector is one).  So at each stop
     the top eigenvalue of hessian(x) is read; if it is positive, one
@@ -226,9 +318,9 @@ def multistart(
     local_search: Callable[[np.ndarray], tuple],
     first: np.ndarray,
     config: OptimizerConfig,
-    threads: int = 1,
 ) -> tuple[tuple, list[tuple]]:
-    """Run local_search from config.starts points; (best tuple, per-start list).
+    """Run local_search from config.starts points in order on the calling
+    thread; (best tuple, per-start list).
 
     Start 0 is `first`; start k >= 1 is uniform in [-pi, pi) from a
     generator seeded by (config.seed, k).  Each tuple local_search returns
@@ -243,7 +335,7 @@ def multistart(
         rng = np.random.default_rng([config.seed, k])
         return local_search(rng.uniform(-np.pi, np.pi, first.size))
 
-    per_start = parallel_map(threads, one_start, range(config.starts))
+    per_start = [one_start(k) for k in range(config.starts)]
     return max(per_start, key=lambda r: r[1]), per_start
 
 
@@ -273,7 +365,10 @@ def optimize_phases(
     config: Optional[OptimizerConfig] = None,
     threads: int = 1,
 ) -> OptimizationResult:
-    """Maximize the Bell value over all 2N(d-1) free phases, state fixed."""
+    """Maximize the Bell value over all 2N(d-1) free phases, state fixed.
+
+    The starts run on the calling thread; `threads` is accepted and unused.
+    """
     config = config or OptimizerConfig()
     sc = expression.scenario
     if state.scenario != sc:
@@ -283,7 +378,6 @@ def optimize_phases(
         lambda x0: _escaping_gradient_max(objective_and_gradient, hessian, x0, config),
         np.zeros(_phase_param_count(sc)),
         config,
-        threads,
     )
     return _result(best, per_start, _config_from_params(best[0], sc))
 
@@ -298,7 +392,8 @@ def seesaw(
     Each sweep first replaces the state by the dominant eigenvector of the
     Bell operator at the current phases (the maximum eigenvalue dominates
     every Rayleigh quotient, so this step cannot decrease the objective),
-    then locally re-optimizes the phases at the new state.
+    then locally re-optimizes the phases at the new state.  The starts run
+    on the calling thread; `threads` is accepted and unused.
     """
     config = config or OptimizerConfig()
     sc = expression.scenario
@@ -323,9 +418,7 @@ def seesaw(
             prev = val
         return x, trajectory[-1], converged, evaluations, state, tuple(trajectory)
 
-    best, per_start = multistart(
-        one_start, np.zeros(_phase_param_count(sc)), config, threads
-    )
+    best, per_start = multistart(one_start, np.zeros(_phase_param_count(sc)), config)
     return _result(
         best,
         per_start,
@@ -353,7 +446,10 @@ def optimize_state_family(
     phases: Union[str, PhaseConfiguration] = "free",
     threads: int = 1,
 ) -> OptimizationResult:
-    """Optimize the family angles, jointly with the phases unless fixed."""
+    """Optimize the family angles, jointly with the phases unless fixed.
+
+    The starts run on the calling thread; `threads` is accepted and unused.
+    """
     config = config or OptimizerConfig()
     fam = _resolve_family(family)
     sc = expression.scenario
@@ -407,7 +503,7 @@ def optimize_state_family(
     first = np.zeros(n_angles + (_phase_param_count(sc) if free_phases else 0))
     first[:n_angles] = np.pi / 4
     search = lambda x0: _escaping_gradient_max(objective_and_gradient, hessian, x0, config)
-    best, per_start = multistart(search, first, config, threads)
+    best, per_start = multistart(search, first, config)
     x = best[0]
     angles = wrap_angle(x[:n_angles])
     best_phases = (
@@ -437,16 +533,17 @@ def sweep(
     threads: int = 1,
 ) -> list[SweepRow]:
     """Phase optimization at each grid point with the same config, rows in
-    grid order; every state is built first, so a bad point fails early."""
+    grid order; every state is built first, so a bad point fails early.
+    The points run in order on the calling thread; `threads` is accepted
+    and unused."""
     config = config or OptimizerConfig()
     fam = _resolve_family(family)
     points = [tuple(float(v) for v in np.atleast_1d(p)) for p in grid]
     if not points:
         raise DomainError("sweep grid must not be empty")
     states = [fam.build(p) for p in points]
-
-    def one_point(i: int) -> SweepRow:
-        result = optimize_phases(states[i], expression, config)
-        return SweepRow(points[i], result.best_value, result.converged)
-
-    return parallel_map(threads, one_point, range(len(points)))
+    rows = []
+    for point, state in zip(points, states):
+        result = optimize_phases(state, expression, config)
+        rows.append(SweepRow(point, result.best_value, result.converged))
+    return rows

@@ -1,8 +1,10 @@
-"""The one thread pool behind every multistart search, sweep and scan.
+"""The one thread pool behind the classical scan's slabs.
 
 Pools are kept per thread count and live for the whole process, so worker
 threads (and the malloc arenas they hold) are reused from call to call
-instead of being started afresh by each search.
+instead of being started afresh by each scan.  The searches use no pool:
+their starts hold the interpreter lock for most of their short life, so a
+second thread only adds hand-off cost, and they run on the calling thread.
 """
 
 from __future__ import annotations

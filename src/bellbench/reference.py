@@ -150,9 +150,7 @@ def _tensor_functional_and_gradient(
     return float(np.vdot(t, w)), np.einsum("psa,psma->psm", d_u, du).reshape(12), w
 
 
-def _bloch_max(
-    state: StateVector, terms, config: Optional[OptimizerConfig], threads: int
-) -> float:
+def _bloch_max(state: StateVector, terms, config: Optional[OptimizerConfig]) -> float:
     """Multistart gradient maximization of a product functional of the three
     qubits over the 12 Bloch angles."""
     _check_three_qubits(state)
@@ -163,7 +161,7 @@ def _bloch_max(
         return _tensor_functional_and_gradient(t, angles, terms)[:2]
 
     search = lambda x0: _gradient_max(objective_and_gradient, x0, config)
-    return float(multistart(search, np.zeros(12), config, threads)[0][1])
+    return float(multistart(search, np.zeros(12), config)[0][1])
 
 
 def mermin3_max(
@@ -171,8 +169,11 @@ def mermin3_max(
     config: Optional[OptimizerConfig] = None,
     threads: int = 1,
 ) -> float:
-    """Multistart maximization of the Mermin value over the 12 Bloch angles."""
-    return _bloch_max(state, _MERMIN_TERMS, config, threads)
+    """Multistart maximization of the Mermin value over the 12 Bloch angles.
+
+    The starts run on the calling thread; `threads` is accepted and unused.
+    """
+    return _bloch_max(state, _MERMIN_TERMS, config)
 
 
 def _check_qubit_product_form(expression: BellExpression) -> None:
@@ -197,10 +198,11 @@ def qubit_general_max(
     equator, where amplitude pairs must disagree at every party to
     contribute; states without such pairs (e.g. the single-excitation
     family) score 0 there yet can violate the bound with general
-    observables, which is what this routine quantifies.
+    observables, which is what this routine quantifies.  The starts run on
+    the calling thread; `threads` is accepted and unused.
     """
     _check_qubit_product_form(expression)
-    return _bloch_max(state, expression.terms, config, threads)
+    return _bloch_max(state, expression.terms, config)
 
 
 def _family_objective(fam: StateFamily, terms):
@@ -226,7 +228,10 @@ def qubit_general_family_max(
     config: Optional[OptimizerConfig] = None,
     threads: int = 1,
 ) -> float:
-    """Joint maximization over family angles and general qubit observables."""
+    """Joint maximization over family angles and general qubit observables.
+
+    The starts run on the calling thread; `threads` is accepted and unused.
+    """
     _check_qubit_product_form(expression)
     fam = _resolve_family(family)
     if fam.scenario != Scenario(3, 2):
@@ -235,7 +240,7 @@ def qubit_general_family_max(
     objective_and_gradient = _family_objective(fam, expression.terms)
     search = lambda x0: _gradient_max(objective_and_gradient, x0, config)
     n_params = len(fam.param_names) + 12
-    return float(multistart(search, np.zeros(n_params), config, threads)[0][1])
+    return float(multistart(search, np.zeros(n_params), config)[0][1])
 
 
 def reduce_to_bipartite(expression: BellExpression) -> BellExpression:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import fields
 from importlib import resources
@@ -15,6 +16,7 @@ import pytest
 import bellbench
 from bellbench import DomainError, bell_expression
 from bellbench.cli import (
+    COMMANDS,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -408,28 +410,20 @@ class TestMainEntry:
         assert out.read_text().startswith("theta,best_value,converged\n")
 
 
-# Runs each argv through cli.main in a fresh interpreter, with a short switch
-# interval so that worker threads interleave, and prints whether
-# scipy.optimize is loaded after the import and after each command.
+# Runs each argv through cli.main in a fresh interpreter in which importing
+# scipy fails, and prints the exit codes.
 _FRESH_RUN = """
 import json, sys
-if sys.argv[1] == "preload":
-    import scipy.optimize
-sys.setswitchinterval(1e-6)
+sys.modules["scipy"] = None
 from bellbench import cli
-loaded = ["scipy.optimize" in sys.modules]
-for argv in json.loads(sys.argv[2]):
-    if cli.main(argv) != cli.EXIT_OK:
-        raise SystemExit(f"{argv} failed")
-    loaded.append("scipy.optimize" in sys.modules)
-print(json.dumps(loaded))
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
-def _fresh_run(commands, preload=False):
+def _fresh_run(commands):
     src = str(Path(bellbench.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_RUN, "preload" if preload else "cold", json.dumps(commands)],
+        [sys.executable, "-c", _FRESH_RUN, json.dumps(commands)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -439,51 +433,39 @@ def _fresh_run(commands, preload=False):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-class TestScipyLoading:
-    """scipy.optimize is loaded by the first local search, not by the import."""
+class TestNoScipy:
+    """No command loads scipy, and no search starts a thread."""
 
-    def test_exact_commands_never_load_scipy(self, tmp_path):
+    def test_every_command_runs_where_scipy_cannot_load(self, tmp_path):
+        search = ["--starts", "2", "--seed", "1"]
         commands = [
             ["classical", "--n", "3", "--d", "3"],
             ["facet", "--n", "3", "--d", "2"],
-            ["reduce", "--n", "3", "--d", "3"],
-            ["threshold", "--violation", "2.8284271"],
             ["--config", fixture_path("ghz3_qubit.json")],
+            ["optimize", "--n", "3", "--d", "2", "--state", "ghz_qubit:1/4pi", *search],
+            ["seesaw", "--n", "2", "--d", "2", *search],
+            ["sweep", "--n", "3", "--d", "2", "--state", "ghz_qubit", "--grid", "1/4pi", *search],
+            ["threshold", "--violation", "2.8284271"],
+            ["reduce", "--n", "3", "--d", "3"],
+            ["mermin", "--state", "amps:1,0,0,0,0,0,0,0", *search],
         ]
-        commands = [argv + ["--out", str(tmp_path / f"{k}.json")] for k, argv in enumerate(commands)]
-        assert _fresh_run(commands) == [False] * 6
+        assert len(commands) == len(COMMANDS)
+        commands = [argv + ["--out", str(tmp_path / f"{k}.out")] for k, argv in enumerate(commands)]
+        assert _fresh_run(commands) == [EXIT_OK] * len(COMMANDS)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["optimize", "--n", "3", "--d", "2", "--state", "ghz_qubit:1/4pi"],
-            ["seesaw", "--n", "2", "--d", "2"],
-            ["sweep", "--n", "3", "--d", "2", "--state", "ghz_qubit", "--grid", "1/4pi"],
-            ["mermin", "--state", "amps:1,0,0,0,0,0,0,0"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_searches_load_scipy(self, argv, tmp_path):
-        argv = argv + ["--starts", "2", "--seed", "1", "--out", str(tmp_path / "report")]
-        assert _fresh_run([argv]) == [False, True]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["mermin", "--state", "amps:1,0,0,0,0,0,0,0"],
-            ["optimize", "--n", "3", "--d", "3", "--state", "ghz_max"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_first_search_on_two_threads_matches_a_preloaded_run(self, argv, tmp_path):
-        # both worker threads can make the first minimize call at once
+    def test_searches_start_no_thread(self, tmp_path):
+        # the report echoes the spec, so only its threads entry may differ
         out = tmp_path / "report.json"
-        argv = argv + ["--starts", "8", "--seed", "3", "--threads", "2",
-                       "--no-timestamp", "--out", str(out)]
-        assert _fresh_run([argv]) == [False, True]
-        cold = out.read_bytes()
-        assert _fresh_run([argv], preload=True) == [True, True]
-        assert out.read_bytes() == cold
+        argv = ["optimize", "--n", "3", "--d", "3", "--state", "ghz_max",
+                "--starts", "8", "--seed", "3", "--no-timestamp", "--out", str(out)]
+        before = threading.active_count()
+        reports = {}
+        for threads in (8, 1):
+            assert main(argv + ["--threads", str(threads)]) == EXIT_OK
+            assert threading.active_count() == before
+            reports[threads] = out.read_bytes()
+        assert reports[8] == reports[1].replace(b'"threads": 1,', b'"threads": 8,')
+        assert reports[8] != reports[1]
 
 
 def _capture(argv):

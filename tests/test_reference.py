@@ -126,7 +126,7 @@ class TestMerminMax:
         state = ghz_qubit(0.8)
         cfg = OptimizerConfig(starts=12, seed=3)
         negated = tuple((s, -sign) for s, sign in _MERMIN_TERMS)
-        assert abs(mermin3_max(state, cfg) - _bloch_max(state, negated, cfg, 1)) < 1e-8
+        assert abs(mermin3_max(state, cfg) - _bloch_max(state, negated, cfg)) < 1e-8
 
 
 class TestQubitGeneralMax:

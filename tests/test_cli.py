@@ -433,25 +433,54 @@ def _fresh_run(commands):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-class TestNoScipy:
+# The exact commands, and the searches with small settings; together they
+# cover every command, the config fixture running "violate".
+_EXACT_COMMANDS = [
+    ["classical", "--n", "3", "--d", "3"],
+    ["facet", "--n", "3", "--d", "2"],
+    ["reduce", "--n", "3", "--d", "3"],
+    ["threshold", "--violation", "2.8284271"],
+    ["--config", fixture_path("ghz3_qubit.json")],
+]
+_SEARCHES = [
+    ["optimize", "--n", "3", "--d", "2", "--state", "ghz_qubit:1/4pi"],
+    ["seesaw", "--n", "2", "--d", "2"],
+    ["sweep", "--n", "3", "--d", "2", "--state", "ghz_qubit", "--grid", "1/4pi"],
+    ["mermin", "--state", "amps:1,0,0,0,0,0,0,0"],
+]
+
+
+class TestScipyLoading:
     """No command loads scipy, and no search starts a thread."""
 
-    def test_every_command_runs_where_scipy_cannot_load(self, tmp_path):
-        search = ["--starts", "2", "--seed", "1"]
-        commands = [
-            ["classical", "--n", "3", "--d", "3"],
-            ["facet", "--n", "3", "--d", "2"],
-            ["--config", fixture_path("ghz3_qubit.json")],
-            ["optimize", "--n", "3", "--d", "2", "--state", "ghz_qubit:1/4pi", *search],
-            ["seesaw", "--n", "2", "--d", "2", *search],
-            ["sweep", "--n", "3", "--d", "2", "--state", "ghz_qubit", "--grid", "1/4pi", *search],
-            ["threshold", "--violation", "2.8284271"],
-            ["reduce", "--n", "3", "--d", "3"],
-            ["mermin", "--state", "amps:1,0,0,0,0,0,0,0", *search],
-        ]
-        assert len(commands) == len(COMMANDS)
-        commands = [argv + ["--out", str(tmp_path / f"{k}.out")] for k, argv in enumerate(commands)]
-        assert _fresh_run(commands) == [EXIT_OK] * len(COMMANDS)
+    def test_exact_commands_never_load_scipy(self, tmp_path):
+        assert len(_EXACT_COMMANDS) + len(_SEARCHES) == len(COMMANDS)
+        commands = [argv + ["--out", str(tmp_path / f"{k}.out")]
+                    for k, argv in enumerate(_EXACT_COMMANDS)]
+        assert _fresh_run(commands) == [EXIT_OK] * len(commands)
+
+    @pytest.mark.parametrize("argv", _SEARCHES, ids=lambda argv: argv[0])
+    def test_searches_load_scipy(self, argv, tmp_path):
+        # a search that imported scipy would fail here
+        argv = argv + ["--starts", "2", "--seed", "1", "--out", str(tmp_path / "report")]
+        assert _fresh_run([argv]) == [EXIT_OK]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mermin", "--state", "amps:1,0,0,0,0,0,0,0"],
+            ["optimize", "--n", "3", "--d", "3", "--state", "ghz_max"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_first_search_on_two_threads_matches_a_preloaded_run(self, argv, tmp_path):
+        # the second run finds every module loaded by the first; the report
+        # echoes the spec, so only its out entry may differ
+        argv = argv + ["--starts", "8", "--seed", "3", "--threads", "2", "--no-timestamp"]
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        runs = [argv + ["--out", str(cold)], argv + ["--out", str(warm)]]
+        assert _fresh_run(runs) == [EXIT_OK, EXIT_OK]
+        assert warm.read_bytes() == cold.read_bytes().replace(b"cold.json", b"warm.json")
 
     def test_searches_start_no_thread(self, tmp_path):
         # the report echoes the spec, so only its threads entry may differ

@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import Field, asdict, dataclass, fields
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -391,8 +392,11 @@ def render_report(spec: RunSpec, report: dict) -> str:
     return buffer.getvalue()
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The command, --config, and one flag per RunSpec field after command."""
+    """The command, --config, and one flag per RunSpec field after command.
+    Built on first use and shared by every later call: parse_args leaves the
+    parser unchanged and fills a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="bellbench",
         description="Workbench for two-setting N-qudit correlation Bell inequalities.",

@@ -115,39 +115,55 @@ def _correlation_tensor(bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sign_array(terms: tuple[tuple[tuple[int, int, int], int], ...]) -> np.ndarray:
-    """S[i,j,k] = the sign of the term with 1-based settings (i+1, j+1, k+1)."""
+def _sign_unfoldings(
+    terms: tuple[tuple[tuple[int, int, int], int], ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sign array S[i,j,k] of the term with 1-based settings (i+1, j+1, k+1),
+    unfolded along each party p: S_p[s, (the other two parties' settings)]."""
     signs = np.zeros((2, 2, 2))
     for settings, sign in terms:
         signs[tuple(s - 1 for s in settings)] += sign
-    signs.flags.writeable = False
-    return signs
+    unfoldings = (
+        signs.reshape(2, 4),
+        signs.transpose(1, 0, 2).reshape(2, 4),
+        signs.reshape(4, 2).T,
+    )
+    for unfolding in unfoldings:
+        unfolding.flags.writeable = False
+    return unfoldings
 
 
 def _tensor_functional_and_gradient(
     t: np.ndarray, angles: np.ndarray, terms: tuple[tuple[tuple[int, int, int], int], ...]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value <T, W>, its gradient in the 12 angles, and the measurement tensor
-    W[a,b,c] = sum_ijk S[i,j,k] u_1i[a] u_2j[b] u_3k[c] of the Bloch vectors
-    u_ps.  The value is trilinear, so its derivative along one party's
-    vectors is T contracted with S and the other two parties' vectors."""
-    polar, azimuth = angles.reshape(3, 2, 2).transpose(2, 0, 1)
-    sin_p, cos_p, sin_a, cos_a = np.sin(polar), np.cos(polar), np.sin(azimuth), np.cos(azimuth)
-    u = np.stack([sin_p * cos_a, sin_p * sin_a, cos_p], axis=-1)
-    # du[p, s, m] is the derivative of u[p, s] in its polar (m = 0) or azimuth (m = 1)
-    du = np.stack(
-        [cos_p * cos_a, cos_p * sin_a, -sin_p, -sin_p * sin_a, sin_p * cos_a, 0 * sin_p], axis=-1
-    ).reshape(3, 2, 2, 3)
-    s = _sign_array(terms)
-    w = np.einsum("ijk,ia,jb,kc->abc", s, u[0], u[1], u[2])
-    d_u = np.stack(
+    """Value <T, W>, its gradient in the 12 angles, and the (3, 2, 3) stack
+    u[p, s] of Bloch vectors, from which `_measurement_tensor` builds W.
+    The value is trilinear, so its derivative along party p's vectors, d_p,
+    is T contracted with S and the other two parties' vectors: two or three
+    small matmuls each, and the value is <d_1, u[0]>."""
+    c, s = np.cos(angles), np.sin(angles)
+    cos_p, cos_a, sin_p, sin_a = c[0::2], c[1::2], s[0::2], s[1::2]
+    # frames[ps, m] is u[p, s] (m = 0) and its polar (1) and azimuth (2) derivatives
+    frames = np.array(
         [
-            np.einsum("ijk,jb,kc,abc->ia", s, u[1], u[2], t),
-            np.einsum("ijk,ia,kc,abc->jb", s, u[0], u[2], t),
-            np.einsum("ijk,ia,jb,abc->kc", s, u[0], u[1], t),
+            [sin_p * cos_a, sin_p * sin_a, cos_p],
+            [cos_p * cos_a, cos_p * sin_a, -sin_p],
+            [-sin_p * sin_a, sin_p * cos_a, 0 * sin_p],
         ]
-    )
-    return float(np.vdot(t, w)), np.einsum("psa,psma->psm", d_u, du).reshape(12), w
+    ).transpose(2, 0, 1)
+    u = frames[:, 0].reshape(3, 2, 3)
+    s1, s2, s3 = _sign_unfoldings(terms)
+    x = t.reshape(9, 3) @ u[2].T  # x[ab, k]
+    d1 = s1 @ (u[1] @ x.reshape(3, 3, 2)).reshape(3, 4).T
+    d2 = s2 @ (u[0] @ x.reshape(3, 6)).reshape(2, 3, 2).transpose(0, 2, 1).reshape(4, 3)
+    d3 = s3 @ (u[1] @ (u[0] @ t.reshape(3, 9)).reshape(2, 3, 3)).reshape(4, 3)
+    gradient = frames[:, 1:] @ np.concatenate([d1, d2, d3])[:, :, None]
+    return float(np.vdot(d1, u[0])), gradient.reshape(12), u
+
+
+def _measurement_tensor(u: np.ndarray, terms) -> np.ndarray:
+    """W[a,b,c] = sum_ijk S[i,j,k] u[0,i,a] u[1,j,b] u[2,k,c]."""
+    return u[1].T @ ((u[0].T @ _sign_unfoldings(terms)[0]).reshape(3, 2, 2) @ u[2])
 
 
 def _bloch_max(state: StateVector, terms, config: Optional[OptimizerConfig]) -> float:
@@ -215,8 +231,8 @@ def _family_objective(fam: StateFamily, terms):
         angles, bloch = x[:n_angles], x[n_angles:]
         psi = fam.build(angles).amplitudes
         t = _correlation_tensor(psi, np.vstack([psi, fam.derivatives(angles)]))
-        value, bloch_gradient, w = _tensor_functional_and_gradient(t[0], bloch, terms)
-        angle_gradient = 2 * np.einsum("nabc,abc->n", t[1:], w)
+        value, bloch_gradient, u = _tensor_functional_and_gradient(t[0], bloch, terms)
+        angle_gradient = 2 * (t[1:].reshape(-1, 27) @ _measurement_tensor(u, terms).reshape(27))
         return value, np.concatenate([angle_gradient, bloch_gradient])
 
     return objective_and_gradient

@@ -1,5 +1,6 @@
 """Run-spec parsing, dispatch, report determinism, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -408,6 +409,41 @@ class TestMainEntry:
         ]
         assert main(argv) == EXIT_OK
         assert out.read_text().startswith("theta,best_value,converged\n")
+
+
+class TestParserReuse:
+    def test_two_main_calls_build_one_parser(self, monkeypatch):
+        _build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(2):
+            assert main(["threshold", "--violation", "2.5", "--no-timestamp"]) == EXIT_OK
+        assert len(built) == 1
+
+    def test_flags_do_not_carry_into_the_next_call(self):
+        first = parse_runspec(["threshold", "--violation", "2.5", "--seed", "5", "--no-timestamp"])
+        assert (first.seed, first.no_timestamp) == (5, True)
+        second = parse_runspec(["threshold", "--violation", "2.5"])
+        assert (second.seed, second.no_timestamp) == (0, False)
+
+    def test_argparse_error_leaves_the_next_report_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["mermin", "--state", "amps:1,0,0,0,0,0,0,0", "--starts", "4", "--seed", "1",
+                "--no-timestamp", "--out", str(out)]
+        assert _fresh_run([argv]) == [EXIT_OK]
+        fresh = out.read_bytes()
+        out.unlink()
+        assert main(argv) == EXIT_OK
+        assert main(["classical", "--n", "x"]) == EXIT_DOMAIN
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == fresh
 
 
 # Runs each argv through cli.main in a fresh interpreter in which importing

@@ -57,6 +57,29 @@ def projector_table(state, settings):
     return ProbabilityTable(sc, blocks)
 
 
+def einsum_kernel(t, angles, terms):
+    """Oracle: value <T, W>, 12-angle gradient and measurement tensor W from
+    one 4-operand einsum per party and one for W."""
+    s = np.zeros((2, 2, 2))
+    for settings, sign in terms:
+        s[tuple(k - 1 for k in settings)] += sign
+    polar, azimuth = angles.reshape(3, 2, 2).transpose(2, 0, 1)
+    sin_p, cos_p, sin_a, cos_a = np.sin(polar), np.cos(polar), np.sin(azimuth), np.cos(azimuth)
+    u = np.stack([sin_p * cos_a, sin_p * sin_a, cos_p], axis=-1)
+    du = np.stack(
+        [cos_p * cos_a, cos_p * sin_a, -sin_p, -sin_p * sin_a, sin_p * cos_a, 0 * sin_p], axis=-1
+    ).reshape(3, 2, 2, 3)
+    w = np.einsum("ijk,ia,jb,kc->abc", s, u[0], u[1], u[2])
+    d_u = np.stack(
+        [
+            np.einsum("ijk,jb,kc,abc->ia", s, u[1], u[2], t),
+            np.einsum("ijk,ia,kc,abc->jb", s, u[0], u[2], t),
+            np.einsum("ijk,ia,jb,abc->kc", s, u[0], u[1], t),
+        ]
+    )
+    return float(np.vdot(t, w)), np.einsum("psa,psma->psm", d_u, du).reshape(12), w
+
+
 class TestBlochSettings:
     def test_from_angles_units(self):
         settings = BlochSettings.from_angles(np.linspace(0, 1, 12))
@@ -196,6 +219,61 @@ class TestQubitGeneralMax:
                 down = objective_and_gradient(x - step)[0]
                 assert abs(gradient[m] - (up - down) / (2 * h)) < 1e-8
 
+    @pytest.mark.parametrize("which", ["mermin", "multipartite"])
+    def test_kernel_matches_the_einsum_oracle(self, which):
+        from bellbench.reference import (
+            _MERMIN_TERMS,
+            _correlation_tensor,
+            _measurement_tensor,
+            _tensor_functional_and_gradient,
+        )
+
+        terms = _MERMIN_TERMS if which == "mermin" else bell_expression(3, 2).terms
+        rng = np.random.default_rng(13)
+        amplitudes = relevance_state().amplitudes
+        tensor = _correlation_tensor(amplitudes, amplitudes)
+        for _ in range(24):
+            angles = rng.uniform(-PI, PI, 12)
+            value, gradient, u = _tensor_functional_and_gradient(tensor, angles, terms)
+            expected_value, expected_gradient, expected_w = einsum_kernel(tensor, angles, terms)
+            assert abs(value - expected_value) < 1e-14
+            assert np.abs(gradient - expected_gradient).max() < 1e-14
+            assert np.abs(_measurement_tensor(u, terms) - expected_w).max() < 1e-14
+
+    @pytest.mark.parametrize("name", ["ghz_qubit", "w_state"])
+    def test_family_objective_matches_the_einsum_oracle(self, name, monkeypatch):
+        # W as the family objective builds it, and the angle gradient read from it
+        from bellbench import reference
+
+        built = []
+
+        def recorded(u, terms):
+            built.append(measurement_tensor(u, terms))
+            return built[-1]
+
+        measurement_tensor = reference._measurement_tensor
+        monkeypatch.setattr(reference, "_measurement_tensor", recorded)
+        family = STATE_FAMILIES[name]
+        n_angles = len(family.param_names)
+        terms = bell_expression(3, 2).terms
+        objective_and_gradient = reference._family_objective(family, terms)
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            x = rng.uniform(-PI, PI, n_angles + 12)
+            value, gradient = objective_and_gradient(x)
+            psi = family.build(x[:n_angles]).amplitudes
+            kets = np.vstack([psi, family.derivatives(x[:n_angles])])
+            tensors = reference._correlation_tensor(psi, kets)
+            expected_value, expected_gradient, expected_w = einsum_kernel(
+                tensors[0], x[n_angles:], terms
+            )
+            assert np.abs(built[-1] - expected_w).max() < 1e-14
+            assert abs(value - expected_value) < 1e-14
+            assert np.abs(gradient[n_angles:] - expected_gradient).max() < 1e-14
+            expected_angle_gradient = 2 * np.einsum("nabc,abc->n", tensors[1:], expected_w)
+            assert np.abs(gradient[:n_angles] - expected_angle_gradient).max() < 1e-14
+        assert len(built) == 20
+
     def test_correlation_tensor_of_a_ket_stack(self):
         from bellbench.reference import _correlation_tensor
 
@@ -211,6 +289,7 @@ class TestQubitGeneralMax:
         from bellbench.reference import (
             _MERMIN_TERMS,
             _correlation_tensor,
+            _measurement_tensor,
             _tensor_functional_and_gradient,
         )
 
@@ -219,7 +298,8 @@ class TestQubitGeneralMax:
         tensor = _correlation_tensor(state.amplitudes, state.amplitudes)
         for _ in range(10):
             angles = rng.uniform(-PI, PI, 12)
-            value, _, w = _tensor_functional_and_gradient(tensor, angles, _MERMIN_TERMS)
+            value, _, u = _tensor_functional_and_gradient(tensor, angles, _MERMIN_TERMS)
+            w = _measurement_tensor(u, _MERMIN_TERMS)
             expected = mermin3_value(state, BlochSettings.from_angles(angles))
             assert abs(np.sum(tensor * w) - expected) < 1e-12
             assert abs(value - expected) < 1e-12

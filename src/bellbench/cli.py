@@ -170,7 +170,7 @@ class RunSpec:
     seed: int = 0
     starts: int = 64
     tol: float = 1e-9
-    threads: int = 1
+    threads: int = 1  # accepted and echoed; every run is on the calling thread
     budget: int = DEFAULT_BUDGET
     out: Optional[str] = None
     format: Optional[str] = None
@@ -247,7 +247,7 @@ def _expression(spec: RunSpec) -> BellExpression:
 
 
 def _run_classical(spec: RunSpec) -> tuple[dict, int]:
-    cm = classical_maximum(_expression(spec), budget=spec.budget, threads=spec.threads)
+    cm = classical_maximum(_expression(spec), budget=spec.budget)
     return (
         {
             "classical_max": str(cm.max_value),
@@ -261,7 +261,7 @@ def _run_classical(spec: RunSpec) -> tuple[dict, int]:
 
 def _run_facet(spec: RunSpec) -> tuple[dict, int]:
     expr = _expression(spec)
-    report = facet_check(expr, budget=spec.budget, threads=spec.threads)
+    report = facet_check(expr, budget=spec.budget)
     return report.to_json_dict(), strategy_count(expr.scenario)
 
 
@@ -326,7 +326,7 @@ def _run_threshold(spec: RunSpec) -> tuple[dict, int]:
 
 def _run_reduce(spec: RunSpec) -> tuple[dict, int]:
     reduced = reduce_to_bipartite(_expression(spec))
-    cm = classical_maximum(reduced, budget=spec.budget, threads=spec.threads)
+    cm = classical_maximum(reduced, budget=spec.budget)
     return (
         {
             "n": reduced.scenario.parties,
@@ -380,7 +380,11 @@ def render_report(spec: RunSpec, report: dict) -> str:
     """JSON by default; CSV rendering for sweeps."""
     fmt = spec.format or ("csv" if spec.command == "sweep" else "json")
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        try:
+            return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        except ValueError as exc:
+            # a strategy count at huge N passes the int-to-str digit limit
+            raise ResourceError(f"a report integer exceeds Python's digit limit: {exc}") from None
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     names = report["result"]["param_names"]

@@ -444,12 +444,8 @@ def optimize_state_family(
     expression: BellExpression,
     config: Optional[OptimizerConfig] = None,
     phases: Union[str, PhaseConfiguration] = "free",
-    threads: int = 1,
 ) -> OptimizationResult:
-    """Optimize the family angles, jointly with the phases unless fixed.
-
-    The starts run on the calling thread; `threads` is accepted and unused.
-    """
+    """Optimize the family angles, jointly with the phases unless fixed."""
     config = config or OptimizerConfig()
     fam = _resolve_family(family)
     sc = expression.scenario
@@ -530,12 +526,9 @@ def sweep(
     grid: Sequence[Sequence[float]],
     expression: BellExpression,
     config: Optional[OptimizerConfig] = None,
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Phase optimization at each grid point with the same config, rows in
-    grid order; every state is built first, so a bad point fails early.
-    The points run in order on the calling thread; `threads` is accepted
-    and unused."""
+    grid order; every state is built first, so a bad point fails early."""
     config = config or OptimizerConfig()
     fam = _resolve_family(family)
     points = [tuple(float(v) for v in np.atleast_1d(p)) for p in grid]

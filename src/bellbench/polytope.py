@@ -25,7 +25,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
-from .parallel import parallel_map
 from .scenario import (
     BellExpression,
     ProbabilityTable,
@@ -169,7 +168,6 @@ class ClassicalMaximum:
 def classical_maximum(
     expression: BellExpression,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> ClassicalMaximum:
     """Exact maximum of the expression over local strategies, with its spectrum.
 
@@ -184,10 +182,10 @@ def classical_maximum(
     slice give the histogram (counts scaled by d**(2N-3)), the maximum and
     the lowest-index argmax (padded with zeros) exactly.
 
-    The slice is scanned in B1 slabs whose partial results merge
-    associatively (first maximum, summed value counts), so the output does
-    not depend on the slabs or the thread count.  The budget bounds the d**3
-    scanned strategies.
+    The slice is scanned in B1 slabs of about _CHUNK entries, which caps the
+    memory, and their partial results merge associatively (first maximum,
+    summed value counts), so the output does not depend on the slabs.  The
+    budget bounds the d**3 scanned strategies.
     """
     sc = expression.scenario
     d = sc.outcomes
@@ -195,16 +193,13 @@ def classical_maximum(
     offset = 4 * (d - 1)
     rows = max(1, _CHUNK // d**2)
 
-    def work(lo: int):
+    best_num, best_idx, counts = None, None, 0
+    for lo in range(0, d, rows):
         nums = _slice_numerators(expression, lo, min(lo + rows, d)).ravel()
         k = int(np.argmax(nums))
-        return int(nums[k]), lo * d**2 + k, np.bincount(nums + offset, minlength=2 * offset + 1)
-
-    best_num, best_idx, counts = None, None, 0
-    for num, idx, slab_counts in parallel_map(threads, work, range(0, d, rows)):
-        if best_num is None or num > best_num:
-            best_num, best_idx = num, idx
-        counts = counts + slab_counts
+        if best_num is None or nums[k] > best_num:
+            best_num, best_idx = int(nums[k]), lo * d**2 + k
+        counts = counts + np.bincount(nums + offset, minlength=2 * offset + 1)
     scale = d ** (2 * sc.parties - 3)
     histogram = {
         Fraction(v - offset, d - 1): c * scale for v, c in enumerate(counts.tolist()) if c
@@ -511,7 +506,7 @@ def facet_check(
     budget bounds the work actually done: the (4d-3)**2 + (d-1)(4d-4)**2
     entries of the block's d shift blocks, checked before anything runs, the
     d**3 strategies of the classical scan, and the d**(2N) of the fallback if
-    it runs.
+    it runs.  `threads` is accepted and unused.
     """
     sc = expression.scenario
     dim = polytope_dimension(sc)
@@ -521,7 +516,7 @@ def facet_check(
         raise ResourceError(
             f"the zero-coset block's {d} shift blocks' {entries} entries exceed the budget {budget}"
         )
-    cm = classical_maximum(expression, budget=budget, threads=threads)
+    cm = classical_maximum(expression, budget=budget)
 
     target = expression.bound * (d - 1)
     saturating = (

@@ -183,12 +183,8 @@ def _bloch_max(state: StateVector, terms, config: Optional[OptimizerConfig]) -> 
 def mermin3_max(
     state: StateVector,
     config: Optional[OptimizerConfig] = None,
-    threads: int = 1,
 ) -> float:
-    """Multistart maximization of the Mermin value over the 12 Bloch angles.
-
-    The starts run on the calling thread; `threads` is accepted and unused.
-    """
+    """Multistart maximization of the Mermin value over the 12 Bloch angles."""
     return _bloch_max(state, _MERMIN_TERMS, config)
 
 
@@ -204,7 +200,6 @@ def qubit_general_max(
     state: StateVector,
     expression: BellExpression,
     config: Optional[OptimizerConfig] = None,
-    threads: int = 1,
 ) -> float:
     """Maximum of the three-qubit expression over general +-1 observables.
 
@@ -214,8 +209,7 @@ def qubit_general_max(
     equator, where amplitude pairs must disagree at every party to
     contribute; states without such pairs (e.g. the single-excitation
     family) score 0 there yet can violate the bound with general
-    observables, which is what this routine quantifies.  The starts run on
-    the calling thread; `threads` is accepted and unused.
+    observables, which is what this routine quantifies.
     """
     _check_qubit_product_form(expression)
     return _bloch_max(state, expression.terms, config)
@@ -242,12 +236,8 @@ def qubit_general_family_max(
     family,
     expression: BellExpression,
     config: Optional[OptimizerConfig] = None,
-    threads: int = 1,
 ) -> float:
-    """Joint maximization over family angles and general qubit observables.
-
-    The starts run on the calling thread; `threads` is accepted and unused.
-    """
+    """Joint maximization over family angles and general qubit observables."""
     _check_qubit_product_form(expression)
     fam = _resolve_family(family)
     if fam.scenario != Scenario(3, 2):

@@ -383,6 +383,20 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("resource error: ")
         assert main([*argv, "--budget", "216"]) == EXIT_OK
 
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        reason="needs Python's default 4300-digit int-to-str limit",
+    )
+    @pytest.mark.parametrize("command", ["classical", "facet"])
+    def test_counts_past_the_digit_limit_exit_resource(self, command, tmp_path, capsys):
+        # the strategy count d**(2N) has 4817 digits at N = 8000 and 4215 at 7000
+        out = tmp_path / "report.json"
+        assert main([command, "--n", "8000", "--d", "2", "--out", str(out)]) == EXIT_RESOURCE
+        assert not out.exists()
+        assert "4300 digits" in capsys.readouterr().err
+        assert main([command, "--n", "7000", "--d", "2", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["diagnostics"]["iterations"] == 4**7000
+
     def test_seesaw_past_the_operator_cap_exits_resource(self, tmp_path, capsys):
         # the cap guards the phase search on a fixed state as well
         out = tmp_path / "report.json"
@@ -447,16 +461,20 @@ class TestParserReuse:
 
 
 # Runs each argv through cli.main in a fresh interpreter in which importing
-# scipy fails, and prints the exit codes.
+# scipy or concurrent.futures fails, and prints each exit code with the
+# number of live Python threads after the run.
 _FRESH_RUN = """
-import json, sys
+import json, sys, threading
 sys.modules["scipy"] = None
+sys.modules["concurrent.futures"] = None
 from bellbench import cli
-print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+runs = [(cli.main(argv), threading.active_count()) for argv in json.loads(sys.argv[1])]
+print(json.dumps(runs))
 """
 
 
 def _fresh_run(commands):
+    """Exit codes of the commands; no command may leave a second thread."""
     src = str(Path(bellbench.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_RUN, json.dumps(commands)],
@@ -466,7 +484,9 @@ def _fresh_run(commands):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    assert [threads for _, threads in runs] == [1] * len(runs)
+    return [code for code, _ in runs]
 
 
 # The exact commands, and the searches with small settings; together they
@@ -487,7 +507,7 @@ _SEARCHES = [
 
 
 class TestScipyLoading:
-    """No command loads scipy, and no search starts a thread."""
+    """No command loads scipy or concurrent.futures, and none starts a thread."""
 
     def test_exact_commands_never_load_scipy(self, tmp_path):
         assert len(_EXACT_COMMANDS) + len(_SEARCHES) == len(COMMANDS)
@@ -496,7 +516,7 @@ class TestScipyLoading:
         assert _fresh_run(commands) == [EXIT_OK] * len(commands)
 
     @pytest.mark.parametrize("argv", _SEARCHES, ids=lambda argv: argv[0])
-    def test_searches_load_scipy(self, argv, tmp_path):
+    def test_searches_never_load_scipy(self, argv, tmp_path):
         # a search that imported scipy would fail here
         argv = argv + ["--starts", "2", "--seed", "1", "--out", str(tmp_path / "report")]
         assert _fresh_run([argv]) == [EXIT_OK]
@@ -531,6 +551,24 @@ class TestScipyLoading:
             reports[threads] = out.read_bytes()
         assert reports[8] == reports[1].replace(b'"threads": 1,', b'"threads": 8,')
         assert reports[8] != reports[1]
+
+    def test_multi_slab_scans_start_no_thread(self, tmp_path):
+        # both scan the (2, 64) slice in four slabs; the report echoes the
+        # spec, so only its threads and out entries may differ
+        runs = [
+            [command, "--n", n, "--d", "64", "--threads", threads, "--no-timestamp",
+             "--out", str(tmp_path / f"{command}-{threads}.json")]
+            for command, n in (("classical", "2"), ("reduce", "3"))
+            for threads in ("4", "1")
+        ]
+        assert _fresh_run(runs) == [EXIT_OK] * 4
+        for command in ("classical", "reduce"):
+            one = (tmp_path / f"{command}-1.json").read_bytes()
+            four = (tmp_path / f"{command}-4.json").read_bytes()
+            assert four == one.replace(b'"threads": 1,', b'"threads": 4,').replace(
+                b"-1.json", b"-4.json"
+            )
+            assert four != one
 
 
 def _capture(argv):

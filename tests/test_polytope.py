@@ -191,14 +191,43 @@ class TestClassicalMaximum:
                 )
                 assert nums.flat[k] == value * (d - 1)
 
-    def test_threads_do_not_change_result(self):
+    @pytest.mark.parametrize("n,d,slabs", [(2, 64, 4), (3, 3, 1)])
+    def test_slabs_merge_to_a_one_shot_scan(self, monkeypatch, n, d, slabs):
         # (2, 64) has 64**3 = 4 * 2**16 slice strategies: four slabs of 16 B1 rows
-        for e in (bell_expression(3, 3), bell_expression(2, 64)):
-            a = classical_maximum(e, threads=1)
-            b = classical_maximum(e, threads=4)
-            assert a.max_value == b.max_value
-            assert a.argmax == b.argmax
-            assert a.histogram == b.histogram
+        e = bell_expression(n, d)
+        nums = polytope._slice_numerators(e, 0, d).ravel()
+        k = int(np.argmax(nums))
+        values, counts = np.unique(nums, return_counts=True)
+        calls = []
+        scan = polytope._slice_numerators
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(polytope, "_slice_numerators", counted)
+        cm = classical_maximum(e)
+        assert len(calls) == slabs
+        assert cm.max_value == Fraction(int(nums[k]), d - 1)
+        assert cm.argmax == DeterministicStrategy.from_index(e.scenario, k)
+        assert cm.histogram == {
+            Fraction(int(v), d - 1): int(c) * d ** (2 * n - 3) for v, c in zip(values, counts)
+        }
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        d=st.integers(2, 9),
+        chunk=st.integers(1, 200),
+        legacy=st.booleans(),
+    )
+    def test_slab_size_does_not_change_result(self, n, d, chunk, legacy):
+        # below d**2 entries every slab is one B1 row, so d slabs merge
+        e = bell_expression(2, d, BIPARTITE_LEGACY) if legacy else bell_expression(n, d)
+        whole = classical_maximum(e), facet_check(e)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polytope, "_CHUNK", chunk)
+            assert (classical_maximum(e), facet_check(e)) == whole
 
     @pytest.mark.parametrize("family", [None, BIPARTITE_LEGACY])
     @pytest.mark.parametrize("d", range(2, 13))
@@ -551,10 +580,6 @@ class TestFacetCheck:
         report = facet_check(e, budget=729)
         assert report.affine_rank == 26
         assert not report.is_facet
-
-    def test_partitioning_invariance(self):
-        e = bell_expression(3, 3)
-        assert facet_check(e, threads=1) == facet_check(e, threads=4)
 
     def test_json_shape(self):
         data = facet_check(bell_expression(3, 2)).to_json_dict()
